@@ -167,8 +167,8 @@ int main() {
         };
         const double factor_ratio = ratio(sched::TaskKind::kFusedAllReduce);
         const double grad_ratio = ratio(sched::TaskKind::kGradAllReduce);
-        const std::size_t raw_bytes = bench::plan_raw_bytes(lossy.plan);
-        const std::size_t wire_bytes = bench::plan_wire_bytes(lossy.plan);
+        const std::size_t raw_bytes = lossy.plan.raw_bytes();
+        const std::size_t wire_bytes = lossy.plan.wire_bytes();
         const double speedup = lossless.total / lossy.total;
 
         const std::string name = spec.name + "/" + base.name + "/P" +

@@ -26,28 +26,6 @@
 
 namespace spdkfac::bench {
 
-/// Bytes one iteration of `plan` puts on the wire: the sum of each
-/// collective task's post-codec wire payload.  Algorithm-level multipliers
-/// (a ring's 2(P-1)/P passes) hit lossless and compressed payloads alike,
-/// so they cancel out of every compression ratio derived from this.
-inline std::size_t plan_wire_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.wire_elements * sizeof(double);
-  }
-  return bytes;
-}
-
-/// Same sum over the logical (pre-codec) payloads — the lossless baseline
-/// the wire bytes are compared against.
-inline std::size_t plan_raw_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.elements * sizeof(double);
-  }
-  return bytes;
-}
-
 /// The paper's 64x RTX2080Ti testbed calibration (shared instance — every
 /// figure bench prices against the same constants).
 inline const perf::ClusterCalibration& cal64() {
@@ -107,7 +85,7 @@ struct DistTrainResult {
   /// only, like the engine records).
   std::size_t arena_bytes_saved = 0;
   /// Post-codec / pre-codec collective payload bytes of one step's plan
-  /// (plan_wire_bytes / plan_raw_bytes) — equal unless a codec is on.
+  /// (IterationPlan::wire_bytes / raw_bytes) — equal unless a codec is on.
   std::size_t wire_bytes_per_step = 0;
   std::size_t raw_bytes_per_step = 0;
 };
@@ -182,8 +160,8 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
       result.records = optimizer.comm_records();
       result.broadcast_cts = optimizer.placement().num_cts();
       result.arena_bytes_saved = optimizer.arena_bytes_saved_per_step();
-      result.wire_bytes_per_step = plan_wire_bytes(optimizer.plan());
-      result.raw_bytes_per_step = plan_raw_bytes(optimizer.plan());
+      result.wire_bytes_per_step = optimizer.plan().wire_bytes();
+      result.raw_bytes_per_step = optimizer.plan().raw_bytes();
 
       double busy = 0.0, hidden = 0.0;
       for (const comm::OpRecord& r : result.records) {
@@ -264,8 +242,8 @@ inline DistTrainResult dist_train_multiprocess(const DistTrainConfig& cfg) {
         out.push_back(last_loss);
         out.push_back(wall);
         out.push_back(static_cast<double>(optimizer.placement().num_cts()));
-        out.push_back(static_cast<double>(plan_wire_bytes(optimizer.plan())));
-        out.push_back(static_cast<double>(plan_raw_bytes(optimizer.plan())));
+        out.push_back(static_cast<double>(optimizer.plan().wire_bytes()));
+        out.push_back(static_cast<double>(optimizer.plan().raw_bytes()));
         out.push_back(static_cast<double>(step_seconds.size()));
         out.insert(out.end(), step_seconds.begin(), step_seconds.end());
         out.push_back(static_cast<double>(layers.size()));

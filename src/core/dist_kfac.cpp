@@ -1,7 +1,6 @@
 #include "core/dist_kfac.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -107,14 +106,8 @@ void DistKfacOptions::validate() const {
                                   "non-negative");
     }
   };
-  check_pass_timing(profile, "profile");
   for (const sched::PassTiming& timing : profile_trajectory) {
     check_pass_timing(timing, "profile_trajectory");
-  }
-  if (!profile.empty() && !profile_trajectory.empty()) {
-    throw std::invalid_argument(
-        "DistKfacOptions: profile and profile_trajectory are mutually "
-        "exclusive");
   }
   if (shm_ring_bytes < 1024 ||
       (shm_ring_bytes & (shm_ring_bytes - 1)) != 0 ||
@@ -213,13 +206,6 @@ DistKfacOptimizer::DistKfacOptimizer(
     // launcher configured (possibly already armed) untouched.
     comm_.transport().set_timeout(options_.comm_timeout_s);
   }
-  if (!options_.profile.empty()) {
-    // Static planning profile: the timing never changes, so install it once
-    // (re-plan points become no-ops and the cache holds one entry per step
-    // kind).
-    current_timing_ = options_.profile;
-    profiled_timing_ = true;
-  }
   const std::size_t L = layers_.size();
   state_.resize(L);
   fresh_a_.resize(L);
@@ -232,34 +218,6 @@ DistKfacOptimizer::DistKfacOptimizer(
     // G pass runs deepest layer first; g_sizes_ is indexed in pass order.
     g_sizes_[l] = tensor::packed_size(layers_[L - 1 - l]->dim_g());
   }
-
-  // Execution-layer profiling tap: every compute node reports its measured
-  // duration; factor builds and inverses land in the profiler's per-layer /
-  // per-tensor EMA slots (disjoint per task, so no locking — see
-  // OnlineProfiler's thread-safety contract).
-  executor_.set_observer([this](int id, double seconds) {
-    const sched::Task& task = plan_->task(id);
-    if (task_listener_) {
-      // Reported on the engine clock so the control plane can stitch these
-      // compute intervals with the OpRecord comm intervals into one trace.
-      const double end_s = engine_.now_s();
-      task_listener_(task, end_s - seconds, end_s);
-    }
-    switch (task.kind) {
-      case sched::TaskKind::kFactorCompute:
-        if (task.family == sched::Family::kA) {
-          profiler_.record_factor_a(task.layer, seconds);
-        } else {
-          profiler_.record_factor_g(task.layer, seconds);
-        }
-        break;
-      case sched::TaskKind::kInverse:
-        profiler_.record_inverse(task.tensor, seconds);
-        break;
-      default:
-        break;  // the update task is not a profiled quantity
-    }
-  });
 
   // Collective completions flow back into the dataflow: unpack/average on
   // the pool, then retire the plan node so successors (inverses, the
@@ -305,7 +263,6 @@ void DistKfacOptimizer::sync_profile() {
 
 void DistKfacOptimizer::refresh_planning_profile(bool measured_fusion) {
   ++replan_count_;
-  if (!options_.profile.empty()) return;  // static: installed at construction
   if (!options_.profile_trajectory.empty()) {
     const auto& traj = options_.profile_trajectory;
     current_timing_ = traj[std::min(replan_epoch_, traj.size() - 1)];
@@ -364,8 +321,7 @@ void DistKfacOptimizer::begin_step() {
       break;
   }
 
-  const bool live = options_.profile.empty() &&
-                    options_.profile_trajectory.empty();
+  const bool live = options_.profile_trajectory.empty();
   const bool measured_fusion =
       live && opt.factor_comm != sched::FactorCommMode::kBulk &&
       opt.factor_comm != sched::FactorCommMode::kNaive;
@@ -432,15 +388,11 @@ void DistKfacOptimizer::begin_step() {
   // tasks write disjoint ranges with no coordination.
   // -------------------------------------------------------------------
   const std::size_t L = layers_.size();
-  a_buffers_.assign(plan_->a_comm.size(), {});
-  g_buffers_.assign(plan_->g_comm.size(), {});
+  task_buffer_.assign(plan_->tasks.size(), std::span<double>{});
   a_slots_.assign(L, {});
   g_slots_.assign(L, {});
-  grad_buffers_.assign(plan_->grad_comm.size(), {});
   grad_slots_.assign(L, {});
   bcast_buffers_.assign(2 * L, {});
-  task_buffer_.assign(plan_->tasks.size(), std::span<double>{});
-  task_group_.assign(plan_->tasks.size(), -1);
 
   std::size_t total = 0;        // slab doubles, aligned per span
   std::size_t comm_bytes = 0;   // payload bytes (the seed's zero-fill)
@@ -476,17 +428,14 @@ void DistKfacOptimizer::begin_step() {
   arena_saved_bytes_ = comm_bytes;
 
   const auto layout_family = [this](const std::vector<int>& comm_tasks,
-                                    std::vector<std::span<double>>& buffers,
                                     std::vector<PackSlot>& slots,
                                     const std::vector<std::size_t>& sizes) {
-    for (std::size_t gi = 0; gi < comm_tasks.size(); ++gi) {
-      const sched::Task& task = plan_->task(comm_tasks[gi]);
-      buffers[gi] = arena_.carve(task.elements);
-      task_buffer_[static_cast<std::size_t>(task.id)] = buffers[gi];
-      task_group_[static_cast<std::size_t>(task.id)] = static_cast<int>(gi);
+    for (const int id : comm_tasks) {
+      const sched::Task& task = plan_->task(id);
+      task_buffer_[static_cast<std::size_t>(id)] = arena_.carve(task.elements);
       std::size_t offset = 0;
       for (std::size_t p = task.first; p <= task.last; ++p) {
-        slots[p] = {static_cast<int>(gi), offset};
+        slots[p] = {id, offset};
         offset += sizes[p];
         const std::size_t d =
             task.family == sched::Family::kA
@@ -496,17 +445,15 @@ void DistKfacOptimizer::begin_step() {
       }
     }
   };
-  layout_family(plan_->a_comm, a_buffers_, a_slots_, a_sizes_);
-  layout_family(plan_->g_comm, g_buffers_, g_slots_, g_sizes_);
+  layout_family(plan_->a_comm, a_slots_, a_sizes_);
+  layout_family(plan_->g_comm, g_slots_, g_sizes_);
 
-  for (std::size_t gi = 0; gi < plan_->grad_comm.size(); ++gi) {
-    const sched::Task& task = plan_->task(plan_->grad_comm[gi]);
-    grad_buffers_[gi] = arena_.carve(task.elements);
-    task_buffer_[static_cast<std::size_t>(task.id)] = grad_buffers_[gi];
-    task_group_[static_cast<std::size_t>(task.id)] = static_cast<int>(gi);
+  for (const int id : plan_->grad_comm) {
+    const sched::Task& task = plan_->task(id);
+    task_buffer_[static_cast<std::size_t>(id)] = arena_.carve(task.elements);
     std::size_t offset = 0;
-    for (std::size_t l : plan_->grad_groups[gi]) {
-      grad_slots_[l] = {static_cast<int>(gi), offset};
+    for (const std::size_t l : task.member_layers) {
+      grad_slots_[l] = {id, offset};
       const std::size_t n = layers_[l]->weight_grad().size();
       offset += n;
       arena_saved_bytes_ += n * sizeof(double);  // agg matrix realloc
@@ -551,7 +498,7 @@ std::vector<exec::DataflowExecutor::Node> DistKfacOptimizer::build_nodes() {
       case sched::TaskKind::kFactorCompute:
         node.kind = NodeKind::kCompute;
         node.external_deps = 1;  // released by the layer's pass event
-        node.work = [this, id] { run_factor_compute(id); };
+        node.work = [this, id] { run_compute(id); };
         break;
       case sched::TaskKind::kFusedAllReduce: {
         node.kind = NodeKind::kSubmission;
@@ -576,7 +523,7 @@ std::vector<exec::DataflowExecutor::Node> DistKfacOptimizer::build_nodes() {
       case sched::TaskKind::kInverse: {
         const bool mine = task.rank < 0 || task.rank == comm_.rank();
         node.kind = mine ? NodeKind::kCompute : NodeKind::kNoop;
-        if (mine) node.work = [this, id] { run_inverse(id); };
+        if (mine) node.work = [this, id] { run_compute(id); };
         if (local_factors) {
           for (int c : plan_->a_compute) add_dep(node.deps, c);
           for (int c : plan_->g_compute) add_dep(node.deps, c);
@@ -590,7 +537,7 @@ std::vector<exec::DataflowExecutor::Node> DistKfacOptimizer::build_nodes() {
       case sched::TaskKind::kUpdate:
         node.kind = NodeKind::kCompute;
         node.external_deps = 1;  // released by step(): passes done, grads staged
-        node.work = [this] { run_update(); };
+        node.work = [this, id] { run_compute(id); };
         break;
     }
   }
@@ -609,15 +556,14 @@ void DistKfacOptimizer::handle_forward(std::size_t layer) {
 
 void DistKfacOptimizer::handle_backward_grad(std::size_t layer) {
   const PackSlot& slot = grad_slots_[layer];
-  if (slot.group < 0) return;  // nothing communicated (P == 1)
+  if (slot.task < 0) return;  // nothing communicated (P == 1)
   const auto grad = layers_[layer]->weight_grad().data();
   const std::span<double> buffer =
-      grad_buffers_[static_cast<std::size_t>(slot.group)];
+      task_buffer_[static_cast<std::size_t>(slot.task)];
   std::copy(grad.begin(), grad.end(),
             buffer.begin() + static_cast<std::ptrdiff_t>(slot.offset));
-  const int task_id = plan_->grad_comm[static_cast<std::size_t>(slot.group)];
-  if (layer == plan_->task(task_id).first) {  // the group's flush layer
-    executor_.satisfy(task_id);
+  if (layer == plan_->task(slot.task).first) {  // the group's flush layer
+    executor_.satisfy(slot.task);
   }
 }
 
@@ -630,19 +576,49 @@ void DistKfacOptimizer::handle_backward_factor(std::size_t layer) {
 // Dataflow node bodies
 // ---------------------------------------------------------------------------
 
-void DistKfacOptimizer::run_factor_compute(int task_id) {
+void DistKfacOptimizer::run_compute(int task_id) {
   const sched::Task& task = plan_->task(task_id);
+  const double start_s = engine_.now_s();
+  switch (task.kind) {
+    case sched::TaskKind::kFactorCompute:
+      run_factor_compute(task);
+      break;
+    case sched::TaskKind::kInverse:
+      run_inverse(task);
+      break;
+    default:  // kUpdate
+      run_update();
+      break;
+  }
+  const double end_s = engine_.now_s();
+  // Factor builds and inverses land in the profiler's per-layer /
+  // per-tensor EMA slots (disjoint per task, so no locking — see
+  // OnlineProfiler's thread-safety contract); the update task is not a
+  // profiled quantity.
+  if (task.kind == sched::TaskKind::kFactorCompute) {
+    if (task.family == sched::Family::kA) {
+      profiler_.record_factor_a(task.layer, end_s - start_s);
+    } else {
+      profiler_.record_factor_g(task.layer, end_s - start_s);
+    }
+  } else if (task.kind == sched::TaskKind::kInverse) {
+    profiler_.record_inverse(task.tensor, end_s - start_s);
+  }
+  // On the engine clock, so the control plane can stitch these compute
+  // intervals with the OpRecord comm intervals into one trace.
+  if (task_listener_) task_listener_(task, start_s, end_s);
+}
+
+void DistKfacOptimizer::run_factor_compute(const sched::Task& task) {
   const std::size_t l = task.layer;
   const bool is_a = task.family == sched::Family::kA;
-  // Timing is the executor observer's job: it wraps this body and feeds
-  // the measured duration into the profiler's per-layer EMA slot.
   Matrix& fresh = is_a ? fresh_a_[l] : fresh_g_[l];
   fresh = is_a ? compute_factor_a(*layers_[l]) : compute_factor_g(*layers_[l]);
 
   const PackSlot& slot = (is_a ? a_slots_ : g_slots_)[task.pass_index];
-  if (slot.group >= 0) {
+  if (slot.task >= 0) {
     const std::span<double> buffer =
-        (is_a ? a_buffers_ : g_buffers_)[static_cast<std::size_t>(slot.group)];
+        task_buffer_[static_cast<std::size_t>(slot.task)];
     tensor::pack_upper(fresh, buffer.subspan(slot.offset, task.elements));
   } else {
     // Single worker: the fresh factor is already the aggregate; fold the
@@ -653,8 +629,7 @@ void DistKfacOptimizer::run_factor_compute(int task_id) {
   }
 }
 
-void DistKfacOptimizer::run_inverse(int task_id) {
-  const sched::Task& task = plan_->task(task_id);
+void DistKfacOptimizer::run_inverse(const sched::Task& task) {
   const std::size_t t = task.tensor;
   // Per-tensor damping (identical on every rank: derived from the
   // aggregated factors, which the factor barrier guarantees are final).
@@ -753,11 +728,11 @@ void DistKfacOptimizer::submit_compressed(const sched::Task& task,
   // residual' = u with the shipped positions zeroed (per layer — groups
   // reshape across re-plans, layers do not), then run the encoded
   // all-reduce over the exact block just produced.
-  const auto gi = static_cast<std::size_t>(task_group_[task.id]);
   engine_.submit(
-      [this, buffer, ratio, scratch, gi, id](comm::Communicator& c) {
+      [this, &members = task.member_layers, buffer, ratio, scratch,
+       id](comm::Communicator& c) {
         std::size_t offset = 0;
-        for (const std::size_t l : plan_->grad_groups[gi]) {
+        for (const std::size_t l : members) {
           const std::span<const double> res = grad_residuals_[l];
           double* u = buffer.data() + offset;
           for (std::size_t i = 0; i < res.size(); ++i) u[i] += res[i];
@@ -770,7 +745,7 @@ void DistKfacOptimizer::submit_compressed(const sched::Task& task,
         comm::encode(comm::Codec::kTopK, buffer, own, ratio);
         comm::topk_residual(buffer, own, buffer);  // in place: buffer := r'
         offset = 0;
-        for (const std::size_t l : plan_->grad_groups[gi]) {
+        for (const std::size_t l : members) {
           const std::span<double> res = grad_residuals_[l];
           std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(offset),
                     buffer.begin() +
@@ -791,8 +766,7 @@ void DistKfacOptimizer::postprocess_collective(int task_id) {
     case sched::TaskKind::kFusedAllReduce: {
       const bool is_a = task.family == sched::Family::kA;
       const std::span<const double> buffer =
-          (is_a ? a_buffers_
-                : g_buffers_)[static_cast<std::size_t>(task_group_[task_id])];
+          task_buffer_[static_cast<std::size_t>(task_id)];
       // Fold each packed member straight from the slab into the dense EMA
       // state — no dense unpack intermediate.  Bitwise identical to
       // unpack + update_running_average: the pre-fold state is exactly
@@ -817,11 +791,10 @@ void DistKfacOptimizer::postprocess_collective(int task_id) {
       break;
     }
     case sched::TaskKind::kGradAllReduce: {
-      const std::size_t gi =
-          static_cast<std::size_t>(task_group_[task_id]);
-      const std::span<const double> buffer = grad_buffers_[gi];
+      const std::span<const double> buffer =
+          task_buffer_[static_cast<std::size_t>(task_id)];
       std::size_t offset = 0;
-      for (std::size_t l : plan_->grad_groups[gi]) {
+      for (const std::size_t l : task.member_layers) {
         const Matrix& grad = layers_[l]->weight_grad();
         Matrix& agg = agg_grads_[l];
         if (agg.rows() != grad.rows() || agg.cols() != grad.cols()) {
@@ -865,23 +838,19 @@ nn::PassHooks DistKfacOptimizer::pass_hooks() {
       hooked_active_ = true;
       begin_step();
     } else {
-      profiler_.record_forward(
-          l, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           last_pass_event_)
-                 .count());
+      profiler_.record_forward(l, engine_.now_s() - last_pass_event_s_);
     }
-    last_pass_event_ = std::chrono::steady_clock::now();
+    last_pass_event_s_ = engine_.now_s();
     handle_forward(l);
   };
   hooks.after_backward = [this](std::size_t l, nn::PreconditionedLayer&) {
     // Same gap profiling for the backward kernels; the first backward
     // event's gap spans the loss computation, so it is skipped.
-    const auto now = std::chrono::steady_clock::now();
+    const double now_s = engine_.now_s();
     if (backward_events_ > 0) {
-      profiler_.record_backward(
-          l, std::chrono::duration<double>(now - last_pass_event_).count());
+      profiler_.record_backward(l, now_s - last_pass_event_s_);
     }
-    last_pass_event_ = now;
+    last_pass_event_s_ = now_s;
     // The plan orders each layer's gradient flush before its G-factor
     // release (the gradient is ready the moment the backward kernel ends,
     // the factor only after its own computation).

@@ -40,27 +40,25 @@
 // Planning timings come from an online profiling → sync → re-plan → cache
 // loop (the runtime realization of the paper's profiling-driven
 // TensorFusionController, Section V-A): a perf::OnlineProfiler accumulates
-// EMA-smoothed per-task timings from the executor's task observer, the
-// pass hooks and the engine's completion records; every `replan_interval`
-// iterations (at a factor step) the profile is rank-synced with a small
-// all-reduce and the planning timing rebuilt from it; each step's plan is
-// then fetched through a sched::PlanCache keyed by the quantized profile
-// signature, so steady-state steps pay zero planning cost and execute a
-// bitwise-stable schedule.  A fixed `profile` pins the timing forever
-// (reproducible schedules, no sync op); a `profile_trajectory` replays a
-// deterministic sequence of profiles across re-plan epochs — the form the
-// adaptive equivalence and determinism suites lock down, mirrored by
-// sim::simulate_trajectory.
+// EMA-smoothed per-task timings from the compute tasks (each timed on the
+// engine clock by the one node wrapper that also feeds the task listener),
+// the pass hooks (same clock) and the engine's completion records; every
+// `replan_interval` iterations (at a factor step) the profile is
+// rank-synced with a small all-reduce and the planning timing rebuilt from
+// it; each step's plan is then fetched through a sched::PlanCache keyed by
+// the quantized profile signature, so steady-state steps pay zero planning
+// cost and execute a bitwise-stable schedule.  A `profile_trajectory`
+// replays a deterministic sequence of profiles across re-plan epochs
+// instead (no sync op) — the form the adaptive equivalence and determinism
+// suites lock down, mirrored by sim::simulate_trajectory; a one-entry
+// trajectory pins the timing forever.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
-#include <vector>
-
-#include <chrono>
-
 #include <span>
+#include <vector>
 
 #include "comm/async_engine.hpp"
 #include "comm/cluster.hpp"
@@ -142,18 +140,15 @@ struct DistKfacOptions {
   perf::InverseModel inverse_model =
       perf::InverseModel::cubic(2.0e-6, 5.0e-10);
 
-  /// Fixed pass timing used for planning instead of live measurements (the
-  /// paper's offline-profiling workflow; also what the equivalence suite
-  /// feeds both the runtime and the simulator).  Empty: measure factor
-  /// times online, rank-average them, and plan layer-wise on the first
-  /// factor step.
-  sched::PassTiming profile;
-
   /// Deterministic planning-profile trajectory: re-plan epoch k plans from
   /// entry min(k, size-1).  Overrides live measurement (no profile-sync
   /// op) while keeping the adaptive loop — re-planned schedules become a
   /// pure function of the trajectory, so runs are reproducible and
-  /// rank-identical by construction.  Mutually exclusive with `profile`.
+  /// rank-identical by construction.  One entry is a fixed profile (the
+  /// paper's offline-profiling workflow; also what the equivalence suite
+  /// feeds both the runtime and the simulator).  Empty: measure factor
+  /// times online, rank-average them, and plan layer-wise on the first
+  /// factor step.
   std::vector<sched::PassTiming> profile_trajectory;
 
   /// Iterations between planning-profile refreshes (>= 1).  A re-plan
@@ -169,8 +164,8 @@ struct DistKfacOptions {
 
   /// Plan-cache entries (keyed by quantized profile signature + step
   /// kind).  0 disables caching: every step re-runs the planner — the
-  /// reference path the cache must be bitwise-equivalent to under a fixed
-  /// profile or trajectory (see tests/sched/test_adaptive.cpp).
+  /// reference path the cache must be bitwise-equivalent to under a
+  /// trajectory (see tests/sched/test_adaptive.cpp).
   std::size_t plan_cache_capacity = sched::PlanCache::kDefaultCapacity;
 
   /// Transport backend the launcher builds the cluster on (the optimizer
@@ -199,9 +194,8 @@ struct DistKfacOptions {
   /// frequencies, non-positive lr/damping, a stat_decay outside [0, 1), a
   /// negative/non-finite kl_clip, a grad_fusion_threshold /
   /// pool_size / replan_interval / plan_cache_capacity that is a negative
-  /// value wrapped to unsigned, a profile_ema outside (0, 1], a profile or
-  /// trajectory entry containing negative/non-finite entries, both
-  /// `profile` and `profile_trajectory` set, a shm_ring_bytes that is
+  /// value wrapped to unsigned, a profile_ema outside (0, 1], a trajectory
+  /// entry containing negative/non-finite entries, a shm_ring_bytes that is
   /// not a power of two in [1024, 2^31], a negative/non-finite
   /// comm_timeout_s, a topk factor_codec, or a topk_ratio outside (0, 1].
   void validate() const;
@@ -372,15 +366,6 @@ class DistKfacOptimizer {
     return arena_saved_bytes_;
   }
 
-  /// Fusion groups used for the A/G factor aggregation of the last factor
-  /// step (empty on a single worker, where nothing is communicated).
-  const std::vector<sched::FusionGroup>& last_a_groups() const noexcept {
-    return plan_->a_groups;
-  }
-  const std::vector<sched::FusionGroup>& last_g_groups() const noexcept {
-    return plan_->g_groups;
-  }
-
   // Introspection for the equivalence tests.
   const tensor::Matrix& factor_a(std::size_t l) const { return state_[l].a; }
   const tensor::Matrix& factor_g(std::size_t l) const { return state_[l].g; }
@@ -400,10 +385,11 @@ class DistKfacOptimizer {
     tensor::Matrix a_inv, g_inv;
   };
 
-  /// Where one factor (by pass index) or gradient (by layer) packs: fused
-  /// group index (-1: nothing communicated) and offset within its buffer.
+  /// Where one factor (by pass index) or gradient (by layer) packs: the
+  /// plan's comm task (-1: nothing communicated) and the offset within its
+  /// task_buffer_ span.
   struct PackSlot {
-    int group = -1;
+    int task = -1;
     std::size_t offset = 0;
   };
 
@@ -415,9 +401,9 @@ class DistKfacOptimizer {
   /// same profile (a rank-divergent plan would make the collectives
   /// mismatch).
   void sync_profile();
-  /// Re-plan point: installs this epoch's planning timing — the fixed
-  /// profile, the next trajectory entry, or the (synced) live profile laid
-  /// out along the pass walk.
+  /// Re-plan point: installs this epoch's planning timing — the next
+  /// trajectory entry, or the (synced) live profile laid out along the pass
+  /// walk.
   void refresh_planning_profile(bool measured_fusion);
   /// Builds this step's plan (through the plan cache), stages the packing
   /// layout, and installs the plan as a dataflow graph on the executor.
@@ -435,8 +421,11 @@ class DistKfacOptimizer {
   void handle_backward_factor(std::size_t layer);
 
   // Dataflow node bodies (pool tasks / lane submissions / completions).
-  void run_factor_compute(int task_id);
-  void run_inverse(int task_id);
+  /// Every compute node's body: runs the task on the engine clock and
+  /// reports [start, end) to the profiler and the task listener.
+  void run_compute(int task_id);
+  void run_factor_compute(const sched::Task& task);
+  void run_inverse(const sched::Task& task);
   void run_update();
   void submit_collective(int task_id);
   /// Codec-annotated collective: queued on the engine as a custom pump op
@@ -475,7 +464,7 @@ class DistKfacOptimizer {
   // re-plan points; between them every step plans from it through the
   // cache.  `profiled_timing_` gates the warm-up fallback (Eq. (15) needs
   // real timings): false until a refresh saw factor samples (live mode) or
-  // an injected profile/trajectory supplied timing.
+  // a trajectory entry supplied timing.
   perf::OnlineProfiler profiler_;
   sched::PlanCache plan_cache_;
   TaskListener task_listener_;  ///< see set_task_listener
@@ -484,9 +473,10 @@ class DistKfacOptimizer {
   std::size_t next_replan_step_ = 0;
   std::size_t replan_epoch_ = 0;  ///< trajectory index
   std::size_t replan_count_ = 0;
-  /// Previous pass-hook event (hooked mode): successive hook timestamps
-  /// yield per-layer forward/backward kernel samples for the profiler.
-  std::chrono::steady_clock::time_point last_pass_event_{};
+  /// Previous pass-hook event (hooked mode), on the engine clock:
+  /// successive hook timestamps yield per-layer forward/backward kernel
+  /// samples for the profiler.
+  double last_pass_event_s_ = 0.0;
 
   /// The schedule in execution — immutable and shared with the plan cache,
   /// so a cache hit installs it by pointer instead of copying O(tasks)
@@ -497,20 +487,18 @@ class DistKfacOptimizer {
 
   // Per-step execution state.  Buffers are spans carved from the arena in
   // begin_step (deterministic plan order, no per-step allocation or
-  // zeroing) and written at plan-determined disjoint offsets, so
-  // concurrent compute tasks never contend.  The async engine submits
-  // these spans in place — zero-copy, verified via OpRecord::data.
+  // zeroing), indexed by plan task id, and written at plan-determined
+  // disjoint offsets, so concurrent compute tasks never contend.  The
+  // async engine submits these spans in place — zero-copy, verified via
+  // OpRecord::data.
   bool hooked_active_ = false;
   std::size_t backward_events_ = 0;  ///< hooked completeness check
   BufferArena arena_;
   std::size_t arena_saved_bytes_ = 0;  ///< see arena_bytes_saved_per_step()
-  std::vector<std::span<double>> a_buffers_, g_buffers_;  // per fused group
-  std::vector<PackSlot> a_slots_, g_slots_;               // per pass index
-  std::vector<std::span<double>> grad_buffers_;           // per grad group
-  std::vector<PackSlot> grad_slots_;                      // per layer
-  std::vector<std::span<double>> bcast_buffers_;          // per tensor
   std::vector<std::span<double>> task_buffer_;  // per plan task, or empty
-  std::vector<int> task_group_;  ///< per plan task: fused/grad group index
+  std::vector<PackSlot> a_slots_, g_slots_;     // per pass index
+  std::vector<PackSlot> grad_slots_;            // per layer
+  std::vector<std::span<double>> bcast_buffers_;  // per tensor
   /// Gather/decode scratch for codec-annotated collectives, sized for the
   /// step's largest one.  The engine pump runs ops serially, so one shared
   /// region is race-free.  Empty on lossless steps.

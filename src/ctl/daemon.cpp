@@ -20,22 +20,6 @@ namespace spdkfac::ctl {
 
 namespace {
 
-std::size_t plan_wire_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.wire_elements * sizeof(double);
-  }
-  return bytes;
-}
-
-std::size_t plan_raw_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.elements * sizeof(double);
-  }
-  return bytes;
-}
-
 std::string json_array(const std::vector<double>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -143,7 +127,6 @@ void Daemon::rank_main(comm::Communicator& comm) {
   bool shutdown_req = false;
   std::string failure;  ///< non-empty once a step threw; stepping stops
   Directive pending;
-  std::size_t records_harvested = 0;
   std::size_t ctl_requests = 0;
   std::size_t rank_failures = 0;
   double last_step_s = 0.0, step_s_sum = 0.0;
@@ -250,10 +233,10 @@ void Daemon::rank_main(comm::Communicator& comm) {
          static_cast<double>(steps)},
         {"spdkfac_wire_bytes_per_iteration",
          "Post-codec collective payload bytes of one step's plan",
-         Type::kGauge, static_cast<double>(plan_wire_bytes(optimizer.plan()))},
+         Type::kGauge, static_cast<double>(optimizer.plan().wire_bytes())},
         {"spdkfac_raw_bytes_per_iteration",
          "Pre-codec collective payload bytes of one step's plan",
-         Type::kGauge, static_cast<double>(plan_raw_bytes(optimizer.plan()))},
+         Type::kGauge, static_cast<double>(optimizer.plan().raw_bytes())},
         {"spdkfac_arena_bytes_saved_per_iteration",
          "Bytes per step the zero-copy arena stopped copying or zeroing",
          Type::kGauge,
@@ -295,7 +278,17 @@ void Daemon::rank_main(comm::Communicator& comm) {
     if (verb == "cache") return Response{true, cache_json()};
     if (verb == "metrics") return Response{true, metrics_text()};
     if (verb == "trace") {
-      return Response{true, recorder.to_chrome_trace("spdkfacd")};
+      // The comm lane comes from the engine's records, read only when a
+      // trace is asked for (compute intervals arrive live through the task
+      // listener).
+      std::vector<TraceRecorder::Event> comm_lane;
+      for (const comm::OpRecord& rec : optimizer.comm_records()) {
+        if (rec.failed) continue;
+        comm_lane.push_back({rec.name, TraceRecorder::Lane::kComm,
+                             rec.start_s, rec.end_s});
+      }
+      return Response{
+          true, recorder.to_chrome_trace("spdkfacd", std::move(comm_lane))};
     }
     if (verb == "replan") {
       pending.replan = true;
@@ -383,16 +376,6 @@ void Daemon::rank_main(comm::Communicator& comm) {
     step_s_sum += last_step_s;
     --budget;
     steps_done_.store(optimizer.steps());
-
-    // Stitch the step's collectives into the trace (compute intervals
-    // arrived live through the task listener).
-    const std::vector<comm::OpRecord> records = optimizer.comm_records();
-    for (; records_harvested < records.size(); ++records_harvested) {
-      const comm::OpRecord& rec = records[records_harvested];
-      if (rec.failed) continue;
-      recorder.add(rec.name, TraceRecorder::Lane::kComm, rec.start_s,
-                   rec.end_s);
-    }
   }
 
   rank0_weights_.clear();

@@ -24,11 +24,22 @@ std::size_t TraceRecorder::size() const {
 }
 
 std::string TraceRecorder::to_chrome_trace(
-    const std::string& process_name) const {
+    const std::string& process_name, std::vector<Event> transient) const {
   std::vector<Event> events;
   {
     std::lock_guard lock(mu_);
     events = events_;
+  }
+  if (!events.empty()) {
+    const double window_start_s =
+        std::min_element(events.begin(), events.end(),
+                         [](const Event& a, const Event& b) {
+                           return a.start_s < b.start_s;
+                         })
+            ->start_s;
+    for (Event& ev : transient) {
+      if (ev.start_s >= window_start_s) events.push_back(std::move(ev));
+    }
   }
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& a, const Event& b) {

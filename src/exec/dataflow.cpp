@@ -1,32 +1,9 @@
 #include "exec/dataflow.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 namespace spdkfac::exec {
-
-void DataflowExecutor::set_observer(TaskObserver observer) {
-  std::lock_guard lock(mutex_);
-  if (retired_ != nodes_.size()) {
-    throw std::logic_error(
-        "DataflowExecutor::set_observer: graph in flight");
-  }
-  observer_ = std::move(observer);
-}
-
-void DataflowExecutor::run_compute(int id) {
-  Node& node = nodes_[static_cast<std::size_t>(id)];
-  if (!observer_) {
-    node.work();
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  node.work();
-  observer_(id, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-}
 
 void DataflowExecutor::begin(std::vector<Node> nodes, std::vector<int> lane,
                              ThreadPool* pool) {
@@ -104,7 +81,7 @@ void DataflowExecutor::release_locked(int id, std::vector<int>& inline_runs) {
       if (pool_ != nullptr) {
         ++inflight_;
         pool_->submit([this, id] {
-          run_compute(id);
+          nodes_[static_cast<std::size_t>(id)].work();
           std::vector<int> runs;
           {
             std::lock_guard lock(mutex_);
@@ -163,7 +140,7 @@ void DataflowExecutor::run_inline(std::vector<int>& inline_runs) {
   // may append more ready nodes, processed iteratively.
   for (std::size_t i = 0; i < inline_runs.size(); ++i) {
     const int id = inline_runs[i];
-    run_compute(id);
+    nodes_[static_cast<std::size_t>(id)].work();
     std::lock_guard lock(mutex_);
     retire_locked(id, inline_runs);
   }

@@ -55,22 +55,7 @@ class DataflowExecutor {
     int external_deps = 0;
   };
 
-  /// Observes compute-node executions: called once per kCompute node, right
-  /// after its `work` returned, with the node id and the wall-clock seconds
-  /// the work took.  This is the execution layer's profiling tap — the
-  /// online profiler hangs off it to learn real per-task timings without
-  /// the node bodies timing themselves.  Runs on whatever thread ran the
-  /// work (a pool worker, or the releasing thread in inline mode), so it
-  /// must be thread-safe for concurrent *distinct* nodes and must not
-  /// block or call back into the executor.
-  using TaskObserver = std::function<void(int id, double seconds)>;
-
   DataflowExecutor() = default;
-
-  /// Installs (or clears, with nullptr) the compute-task observer.  Applies
-  /// to graphs begun afterwards; must not be called while a graph is in
-  /// flight.
-  void set_observer(TaskObserver observer);
 
   /// Installs a new graph and starts every dependency-free node.  `lane`
   /// lists the kSubmission node indices in mandatory submission order (it
@@ -120,12 +105,9 @@ class DataflowExecutor {
   void retire_locked(int id, std::vector<int>& inline_runs);
   void advance_lane_locked();
   void run_inline(std::vector<int>& inline_runs);
-  /// Runs a compute node's work, timing it for the observer.
-  void run_compute(int id);
 
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
-  TaskObserver observer_;  ///< read outside the lock; set only when idle
   ThreadPool* pool_ = nullptr;
   std::vector<Node> nodes_;
   std::vector<NodeState> states_;

@@ -6,10 +6,11 @@
 //
 // It accumulates EMA-smoothed samples of
 //   * per-layer Kronecker-factor build times (A and G), fed by the
-//     exec::DataflowExecutor task observer,
+//     optimizer's compute-task wrapper (DistKfacOptimizer::run_compute,
+//     timed on the engine clock),
 //   * per-layer forward/backward kernel times, fed by the pass hooks
 //     (hooked mode only — post-hoc steps never see the real passes),
-//   * per-tensor damped-inverse times (executor observer again), and
+//   * per-tensor damped-inverse times (the same wrapper), and
 //   * per-operation collective durations, fed by the AsyncCommEngine's
 //     completion records,
 // and exposes the snapshot the scheduler plans from plus a flat packed()

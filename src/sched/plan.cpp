@@ -40,4 +40,20 @@ std::vector<int> IterationPlan::collective_order() const {
   return order;
 }
 
+std::size_t IterationPlan::wire_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (const Task& task : tasks) {
+    if (task.is_collective()) bytes += task.wire_elements * sizeof(double);
+  }
+  return bytes;
+}
+
+std::size_t IterationPlan::raw_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (const Task& task : tasks) {
+    if (task.is_collective()) bytes += task.elements * sizeof(double);
+  }
+  return bytes;
+}
+
 }  // namespace spdkfac::sched

@@ -143,6 +143,13 @@ struct IterationPlan {
   std::size_t num_collectives() const noexcept {
     return comm_order.size() + broadcast_tasks.size();
   }
+
+  /// Collective payload bytes of one iteration: post-codec (what crosses
+  /// the wire) and pre-codec (the logical payload), equal unless a codec is
+  /// on.  Algorithm-level multipliers (a ring's 2(P-1)/P passes) hit both
+  /// alike, so they cancel out of every compression ratio derived here.
+  std::size_t wire_bytes() const noexcept;
+  std::size_t raw_bytes() const noexcept;
 };
 
 }  // namespace spdkfac::sched

@@ -73,8 +73,8 @@ struct AlgorithmConfig {
   comm::Codec grad_codec = comm::Codec::kNone;
   double topk_ratio = 0.01;  ///< kTopK keep ratio (fraction shipped)
 
-  /// Planning profile override — the simulator counterpart of
-  /// DistKfacOptions::profile.  Empty: derive pass timing from the
+  /// Planning profile override — the simulator counterpart of a one-entry
+  /// DistKfacOptions::profile_trajectory.  Empty: derive pass timing from the
   /// calibration's compute model (the classic behaviour).  Non-empty: plan
   /// from exactly this timing, which is how the adaptive equivalence suite
   /// hands the simulator the same synced profile the runtime re-planned

@@ -133,13 +133,12 @@ struct KernelTable {
   // -------------------------------------------------------------------------
   // Compressed-collective codec primitives (comm::Codec).  All four codec
   // kernels are bitwise identical across ISA levels: the fp16 conversion is
-  // one shared software IEEE-754 converter (double -> float -> half, both
-  // steps round-to-nearest-even) whose vector variant only vectorizes the
-  // exactly-rounded double<->float step, and the int8 quantize is an
-  // elementwise multiply + RNE round + clamp, all of which round the same
-  // in scalar and vector lanes.  That is what lets the compressed
-  // collectives promise cross-rank bitwise results regardless of which
-  // level each rank dispatched to.
+  // one software IEEE-754 converter (double -> float -> half, both steps
+  // round-to-nearest-even) that every level shares as its scalar entry, and
+  // the int8 quantize is an elementwise multiply + RNE round + clamp, all of
+  // which round the same in scalar and vector lanes.  That is what lets the
+  // compressed collectives promise cross-rank bitwise results regardless
+  // of which level each rank dispatched to.
   // -------------------------------------------------------------------------
 
   /// max_i |src[i]| (0.0 for n == 0) — the int8 per-chunk scale probe.

@@ -490,10 +490,9 @@ void transpose_avx2(const double* in, std::size_t rows, std::size_t cols,
 
 // ---------------------------------------------------------------------------
 // Codec kernels — bitwise identical to the scalar table by construction
-// (see kernels.hpp): the only rounding steps are the double multiply, the
-// RNE double->int32 conversion (cvtpd_epi32 honours the default rounding
-// mode, exactly nearbyint), the exactly-rounded double<->float conversion,
-// and the shared software half converter.
+// (see kernels.hpp): the only rounding steps are the double multiply and
+// the RNE double->int32 conversion (cvtpd_epi32 honours the default
+// rounding mode, exactly nearbyint).  fp16 uses the scalar entries.
 // ---------------------------------------------------------------------------
 
 double absmax_avx2(const double* src, std::size_t n) {
@@ -553,39 +552,6 @@ void int8_dequantize_avx2(const signed char* src, std::size_t n, double scale,
   for (; i < n; ++i) dst[i] = scale * static_cast<double>(src[i]);
 }
 
-void fp16_pack_avx2(const double* src, std::size_t n, std::uint16_t* dst) {
-  // Vectorize the exactly-rounded double->float narrowing; the float->half
-  // step goes through the shared software converter so the bits match the
-  // scalar table.
-  std::size_t i = 0;
-  alignas(16) float f[4];
-  for (; i + 4 <= n; i += 4) {
-    _mm_store_ps(f, _mm256_cvtpd_ps(_mm256_loadu_pd(src + i)));
-    dst[i] = detail::float_to_half(f[0]);
-    dst[i + 1] = detail::float_to_half(f[1]);
-    dst[i + 2] = detail::float_to_half(f[2]);
-    dst[i + 3] = detail::float_to_half(f[3]);
-  }
-  for (; i < n; ++i) {
-    dst[i] = detail::float_to_half(static_cast<float>(src[i]));
-  }
-}
-
-void fp16_unpack_avx2(const std::uint16_t* src, std::size_t n, double* dst) {
-  std::size_t i = 0;
-  alignas(16) float f[4];
-  for (; i + 4 <= n; i += 4) {
-    f[0] = detail::half_to_float(src[i]);
-    f[1] = detail::half_to_float(src[i + 1]);
-    f[2] = detail::half_to_float(src[i + 2]);
-    f[3] = detail::half_to_float(src[i + 3]);
-    _mm256_storeu_pd(dst + i, _mm256_cvtps_pd(_mm_load_ps(f)));
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<double>(detail::half_to_float(src[i]));
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -602,8 +568,10 @@ const KernelTable& avx2_table() noexcept {
       unpack_upper_avx2, symmetrize_rows_avx2,
       transpose_avx2,
       absmax_avx2,       int8_quantize_avx2,
-      int8_dequantize_avx2, fp16_pack_avx2,
-      fp16_unpack_avx2};
+      int8_dequantize_avx2,
+      // The fp16 conversion is the scalar software converter per element;
+      // a wrapper vectorizing only the double<->float step measured slower.
+      scalar_table().fp16_pack, scalar_table().fp16_unpack};
   return t;
 }
 

@@ -206,23 +206,8 @@ void int8_dequantize_scalar(const signed char* src, std::size_t n,
   }
 }
 
-void fp16_pack_scalar(const double* src, std::size_t n, std::uint16_t* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = detail::float_to_half(static_cast<float>(src[i]));
-  }
-}
-
-void fp16_unpack_scalar(const std::uint16_t* src, std::size_t n,
-                        double* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<double>(detail::half_to_float(src[i]));
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
+/// The software IEEE-754 half converter (round-to-nearest-even both ways)
+/// behind every level's fp16 codec entries.
 std::uint16_t float_to_half(float f) noexcept {
   const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
   const std::uint32_t sign = (x >> 16) & 0x8000u;
@@ -276,6 +261,23 @@ float half_to_float(std::uint16_t h) noexcept {
   }
   return std::bit_cast<float>(bits);
 }
+
+void fp16_pack_scalar(const double* src, std::size_t n, std::uint16_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = float_to_half(static_cast<float>(src[i]));
+  }
+}
+
+void fp16_unpack_scalar(const std::uint16_t* src, std::size_t n,
+                        double* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<double>(half_to_float(src[i]));
+  }
+}
+
+}  // namespace
+
+namespace detail {
 
 const KernelTable& scalar_table() noexcept {
   static const KernelTable t{

@@ -14,12 +14,4 @@ const KernelTable& scalar_table() noexcept;
 const KernelTable& avx2_table() noexcept;
 bool avx2_compiled() noexcept;
 
-/// The one software IEEE-754 half converter both tables' fp16 codec kernels
-/// share (round-to-nearest-even both ways).  Defined in kernels_scalar.cpp;
-/// the AVX2 fp16 kernels vectorize only the exactly-rounded double<->float
-/// step and call these per element, which is what keeps the packed bits
-/// identical across ISA levels.
-std::uint16_t float_to_half(float f) noexcept;
-float half_to_float(std::uint16_t h) noexcept;
-
 }  // namespace spdkfac::tensor::kernels::detail

@@ -170,7 +170,7 @@ DistKfacOptions make_options(std::size_t layers) {
   opts.lr = 0.1;
   opts.damping = 0.1;
   opts.stat_decay = 0.5;
-  opts.profile = fixed_profile(layers);
+  opts.profile_trajectory = {fixed_profile(layers)};
   return opts;
 }
 

@@ -63,8 +63,8 @@ DistKfacOptions options_for(const RunConfig& cfg,
   opts.grad_codec = cfg.grad_codec;
   opts.topk_ratio = cfg.topk_ratio;
   // Fixed profile: schedules must not depend on wall-clock measurements.
-  opts.profile = sched::timing_from_model(spec, kBatch, cal.compute,
-                                          /*second_order=*/true);
+  opts.profile_trajectory = {sched::timing_from_model(
+      spec, kBatch, cal.compute, /*second_order=*/true)};
   return opts;
 }
 

@@ -97,8 +97,8 @@ std::vector<Matrix> train_rank(const RunConfig& cfg, comm::Communicator& comm,
     opts.profile_trajectory = trajectory_for(spec, cal);
     opts.replan_interval = 2;
   } else {
-    opts.profile = sched::timing_from_model(spec, kBatch, cal.compute,
-                                            /*second_order=*/true);
+    opts.profile_trajectory = {sched::timing_from_model(
+        spec, kBatch, cal.compute, /*second_order=*/true)};
   }
   DistKfacOptimizer optimizer(layers, comm, opts);
 
@@ -388,8 +388,8 @@ std::vector<Matrix> train_checkpointed(tensor::kernels::Isa level,
   opts.damping = 0.1;
   opts.stat_decay = 0.5;
   opts.grad_fusion_threshold = 64;
-  opts.profile = sched::timing_from_model(spec, kBatch, cal.compute,
-                                          /*second_order=*/true);
+  opts.profile_trajectory = {sched::timing_from_model(
+      spec, kBatch, cal.compute, /*second_order=*/true)};
 
   std::vector<std::string> blobs(kWorld);
   std::vector<Matrix> weights;

@@ -239,8 +239,8 @@ TEST(DistKfac, SpdFusionGroupsCoverAllLayersAfterWarmup) {
     for (int s = 0; s < 2; ++s) {
       run_pass(model, data, rng, 4);
       spd.step();
-      const auto& a_groups = spd.last_a_groups();
-      const auto& g_groups = spd.last_g_groups();
+      const auto& a_groups = spd.plan().a_groups;
+      const auto& g_groups = spd.plan().g_groups;
       ASSERT_FALSE(a_groups.empty());
       ASSERT_FALSE(g_groups.empty());
       EXPECT_EQ(a_groups.front().first, 0u);

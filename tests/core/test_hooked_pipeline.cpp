@@ -4,6 +4,11 @@
 // overlap observable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <tuple>
+#include <vector>
+
 #include "comm/cluster.hpp"
 #include "core/dist_kfac.hpp"
 #include "nn/data.hpp"
@@ -195,10 +200,79 @@ TEST(HookedPipeline, SubmitsCommDuringBackwardPass) {
     // by the time backward ends they should be complete without any wait()
     // from our side.
     model.backward(loss.backward(), hooks);
-    EXPECT_GT(optimizer.last_a_groups().size(), 0u);
+    EXPECT_GT(optimizer.plan().a_groups.size(), 0u);
     optimizer.step();
     EXPECT_EQ(optimizer.steps(), 1u);
   });
+}
+
+TEST(HookedPipeline, TaskListenerSeesEachOwnComputeTaskOncePerStep) {
+  // The task listener is fed by the same per-node wrapper that times the
+  // profiler's samples: every compute task this rank runs — factor builds,
+  // the inverses it owns, the update — is reported exactly once per step,
+  // hooked and post-hoc, as an ordered interval on the engine clock inside
+  // the step.
+  for (const DistStrategy strategy :
+       {DistStrategy::kDKfac, DistStrategy::kMpdKfac,
+        DistStrategy::kSpdKfac}) {
+    for (const bool hooked : {false, true}) {
+      comm::Cluster::launch(2, [&](comm::Communicator& comm) {
+        nn::Sequential model = make_model();
+        auto layers = model.preconditioned_layers();
+        DistKfacOptions opts;
+        opts.strategy = strategy;
+        DistKfacOptimizer optimizer(layers, comm, opts);
+        std::mutex mu;
+        std::vector<std::tuple<int, double, double>> seen;
+        optimizer.set_task_listener(
+            [&](const sched::Task& task, double start_s, double end_s) {
+              std::lock_guard lock(mu);
+              seen.emplace_back(task.id, start_s, end_s);
+            });
+        nn::SyntheticClassification data(kClasses, kIn, 1, kDataSeed);
+        Rng shard(70 + comm.rank());
+        nn::SoftmaxCrossEntropy loss;
+        for (int s = 0; s < 3; ++s) {
+          seen.clear();
+          auto batch = data.sample(8, shard);
+          const double before_s = optimizer.engine_now_s();
+          if (hooked) {
+            const nn::PassHooks hooks = optimizer.pass_hooks();
+            loss.forward(model.forward(flatten(batch), hooks), batch.labels);
+            model.backward(loss.backward(), hooks);
+          } else {
+            loss.forward(model.forward(flatten(batch)), batch.labels);
+            model.backward(loss.backward());
+          }
+          optimizer.step();
+          const double after_s = optimizer.engine_now_s();
+
+          std::vector<int> expected;
+          for (const sched::Task& task : optimizer.plan().tasks) {
+            const bool own_inverse =
+                task.kind == sched::TaskKind::kInverse &&
+                (task.rank < 0 || task.rank == comm.rank());
+            if (task.kind == sched::TaskKind::kFactorCompute ||
+                task.kind == sched::TaskKind::kUpdate || own_inverse) {
+              expected.push_back(task.id);
+            }
+          }
+          std::lock_guard lock(mu);
+          std::vector<int> ids;
+          for (const auto& [id, start_s, end_s] : seen) {
+            ids.push_back(id);
+            EXPECT_LE(before_s, start_s) << "task " << id;
+            EXPECT_LE(start_s, end_s) << "task " << id;
+            EXPECT_LE(end_s, after_s) << "task " << id;
+          }
+          std::sort(ids.begin(), ids.end());
+          EXPECT_EQ(ids, expected)
+              << to_string(strategy) << (hooked ? " hooked" : " post-hoc")
+              << " rank " << comm.rank() << " step " << s;
+        }
+      });
+    }
+  }
 }
 
 }  // namespace

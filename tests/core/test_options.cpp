@@ -30,7 +30,7 @@ TEST(DistKfacOptionsTest, DefaultsMatchPaperConfiguration) {
   EXPECT_EQ(opts.factor_comm, sched::FactorCommMode::kOptimalFuse);
   EXPECT_EQ(opts.grad_fusion_threshold, sched::kHorovodThresholdElements);
   EXPECT_EQ(opts.pool_size, 2u);
-  EXPECT_TRUE(opts.profile.empty());
+  EXPECT_TRUE(opts.profile_trajectory.empty());
   EXPECT_EQ(opts.transport, comm::TransportKind::kInProcess);
   EXPECT_EQ(opts.shm_ring_bytes, comm::kDefaultShmRingBytes);
   EXPECT_NO_THROW(opts.validate());
@@ -107,7 +107,7 @@ TEST(DistKfacOptionsTest, ValidateRejectsWrappedNegativePoolSize) {
 TEST(DistKfacOptionsTest, ValidateRejectsNegativeProfileEntries) {
   const auto with_profile = [](sched::PassTiming timing) {
     DistKfacOptions opts;
-    opts.profile = std::move(timing);
+    opts.profile_trajectory = {std::move(timing)};
     return opts;
   };
 
@@ -175,7 +175,7 @@ TEST(DistKfacOptionsTest, ValidateRejectsWrappedNegativeCacheCapacity) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntriesAndExclusivity) {
+TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntries) {
   sched::PassTiming good;
   good.a_ready = {0.1, 0.2};
   good.g_ready = {0.3, 0.4};
@@ -194,12 +194,6 @@ TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntriesAndExclusivity) {
   bad = good;
   bad.backward_end = std::numeric_limits<double>::quiet_NaN();
   opts.profile_trajectory = {bad};
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-
-  // A fixed profile and a trajectory cannot both drive planning.
-  opts = DistKfacOptions{};
-  opts.profile = good;
-  opts.profile_trajectory = {good};
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 

@@ -107,7 +107,7 @@ TEST(SetTunable, StrongGuaranteeAndLiveEffectOnTheOptimizer) {
     nn::Sequential model = nn::make_mlp(widths, rng);
     auto layers = model.preconditioned_layers();
     DistKfacOptions opts;
-    opts.profile = fixed_profile(layers.size());
+    opts.profile_trajectory = {fixed_profile(layers.size())};
     opts.replan_interval = 100;  // no natural re-plan inside this test
     DistKfacOptimizer optimizer(layers, comm, opts);
 

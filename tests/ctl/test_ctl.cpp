@@ -199,5 +199,27 @@ TEST(TraceRecorder, EmptyRecorderStillEmitsValidTrace) {
   EXPECT_TRUE(valid_json(trace, &error)) << error;
 }
 
+TEST(TraceRecorder, TransientEventsRenderInsideTheRecordedWindowOnly) {
+  // The daemon hands the engine's comm records over per trace request:
+  // they are rendered, never retained, and clipped to the window of the
+  // events the recorder still holds.
+  using Lane = ctl::TraceRecorder::Lane;
+  ctl::TraceRecorder recorder;
+  const auto comm_lane = [] {
+    return std::vector<ctl::TraceRecorder::Event>{
+        {"before-window", Lane::kComm, 5.0, 6.0},
+        {"in-window", Lane::kComm, 10.5, 10.7}};
+  };
+  EXPECT_EQ(recorder.to_chrome_trace("empty", comm_lane()).find("window"),
+            std::string::npos);
+
+  recorder.add("factor", Lane::kCompute, 10.0, 11.0);
+  const std::string trace = recorder.to_chrome_trace("run", comm_lane());
+  EXPECT_TRUE(valid_json(trace)) << trace;
+  EXPECT_NE(trace.find("\"in-window\""), std::string::npos) << trace;
+  EXPECT_EQ(trace.find("\"before-window\""), std::string::npos) << trace;
+  EXPECT_EQ(recorder.size(), 1u);
+}
+
 }  // namespace
 }  // namespace spdkfac

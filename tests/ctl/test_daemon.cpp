@@ -57,7 +57,7 @@ ctl::DaemonOptions daemon_options(const std::string& tag) {
   ctl::DaemonOptions opts;
   opts.socket_path = test_socket_path(tag);
   opts.world = kWorld;
-  opts.optimizer.profile = fixed_profile();
+  opts.optimizer.profile_trajectory = {fixed_profile()};
   return opts;
 }
 

@@ -194,55 +194,5 @@ TEST(Dataflow, WideFanOutRetiresEverything) {
   EXPECT_EQ(trace.get(), (std::vector<std::string>{"root", "join"}));
 }
 
-TEST(Dataflow, ObserverReportsEveryComputeNodeWithItsDuration) {
-  // The observer is the profiling tap: once per kCompute node, after its
-  // work, with a non-negative duration — on the pool and inline alike.
-  // Submission and noop nodes are never reported.
-  for (const bool pooled : {false, true}) {
-    Trace trace;
-    DataflowExecutor ex;
-    std::mutex mu;
-    std::vector<std::pair<int, double>> observed;
-    ex.set_observer([&](int id, double seconds) {
-      std::lock_guard lock(mu);
-      observed.emplace_back(id, seconds);
-    });
-
-    std::vector<Node> nodes(3);
-    nodes[0] = compute(trace, "a", {});
-    nodes[1].kind = NodeKind::kNoop;
-    nodes[1].deps = {0};
-    nodes[2] = compute(trace, "b", {1});
-
-    ThreadPool pool(2);
-    ex.begin(std::move(nodes), {}, pooled ? &pool : nullptr);
-    ex.wait();
-
-    std::lock_guard lock(mu);
-    ASSERT_EQ(observed.size(), 2u) << (pooled ? "pooled" : "inline");
-    EXPECT_EQ(observed[0].first, 0);
-    EXPECT_EQ(observed[1].first, 2);
-    for (const auto& [id, seconds] : observed) {
-      EXPECT_GE(seconds, 0.0) << "node " << id;
-    }
-  }
-}
-
-TEST(Dataflow, ObserverCanBeClearedAndRejectsMidFlightInstall) {
-  Trace trace;
-  DataflowExecutor ex;
-  int calls = 0;
-  ex.set_observer([&](int, double) { ++calls; });
-  ex.set_observer(nullptr);  // cleared: next graph runs unobserved
-
-  std::vector<Node> nodes(1);
-  nodes[0] = compute(trace, "a", {}, /*external=*/1);
-  ex.begin(std::move(nodes), {}, nullptr);
-  EXPECT_THROW(ex.set_observer([](int, double) {}), std::logic_error);
-  ex.satisfy(0);
-  ex.wait();
-  EXPECT_EQ(calls, 0);
-}
-
 }  // namespace
 }  // namespace spdkfac::exec

@@ -171,8 +171,8 @@ void train_one_step(const Config& c, const models::ModelSpec& spec,
   opts.allreduce_model = cal.allreduce;
   opts.broadcast_model = cal.bcast_fabric;
   opts.inverse_model = cal.inverse;
-  opts.profile = sched::timing_from_model(spec, kBatch, cal.compute,
-                                          /*second_order=*/true);
+  opts.profile_trajectory = {sched::timing_from_model(
+      spec, kBatch, cal.compute, /*second_order=*/true)};
   core::DistKfacOptimizer optimizer(layers, comm, opts);
 
   Rng shard(100 + comm.rank());
