@@ -28,7 +28,8 @@ constexpr std::size_t kPools[] = {0, 1, 2, 4};
 bench::DistTrainConfig heavy_config(core::DistStrategy strategy,
                                     std::size_t pool) {
   bench::DistTrainConfig cfg;
-  cfg.strategy = strategy;
+  cfg.optimizer.strategy = strategy;
+  cfg.optimizer.pool_size = pool;
   cfg.hooked = true;
   cfg.steps = kSteps;
   cfg.world = 2;
@@ -38,7 +39,6 @@ bench::DistTrainConfig heavy_config(core::DistStrategy strategy,
   cfg.conv2 = 32;
   cfg.classes = 10;
   cfg.batch = 16;
-  cfg.pool_size = pool;
   return cfg;
 }
 

@@ -19,44 +19,14 @@ namespace {
 
 constexpr int kSteps = 8;
 
-struct Row {
-  bench::SampleStats step;
-  std::size_t ops = 0;
-  double comm_busy_s = 0.0;
-  double mean_queue_delay_s = 0.0;  // start - submit
-  double overlap_fraction = 0.0;
-  std::size_t arena_bytes_saved = 0;  // zero-copy path, per step
-  std::size_t wire_bytes = 0;  // post-codec collective payload, per step
-  std::size_t raw_bytes = 0;   // logical payload, per step
-};
-
-Row run(core::DistStrategy strategy, bool hooked,
-        comm::Codec factor_codec = comm::Codec::kNone,
-        comm::Codec grad_codec = comm::Codec::kNone) {
+bench::DistTrainResult run(core::DistStrategy strategy, bool hooked,
+                           comm::Codec grad_codec = comm::Codec::kNone) {
   bench::DistTrainConfig cfg;
-  cfg.strategy = strategy;
+  cfg.optimizer.strategy = strategy;
+  cfg.optimizer.grad_codec = grad_codec;
   cfg.hooked = hooked;
   cfg.steps = kSteps;
-  cfg.factor_codec = factor_codec;
-  cfg.grad_codec = grad_codec;
-  const bench::DistTrainResult res = bench::dist_train(cfg);
-
-  Row row;
-  row.step = bench::stats(res.step_seconds);
-  row.ops = res.records.size();
-  row.overlap_fraction = res.overlap_fraction;
-  row.arena_bytes_saved = res.arena_bytes_saved;
-  row.wire_bytes = res.wire_bytes_per_step;
-  row.raw_bytes = res.raw_bytes_per_step;
-  double delay = 0.0;
-  for (const auto& r : res.records) {
-    row.comm_busy_s += r.end_s - r.start_s;
-    delay += r.start_s - r.submit_s;
-  }
-  if (!res.records.empty()) {
-    row.mean_queue_delay_s = delay / static_cast<double>(res.records.size());
-  }
-  return row;
+  return bench::dist_train(cfg);
 }
 
 }  // namespace
@@ -69,23 +39,26 @@ int main() {
   bench::Table table({"Strategy", "Mode", "mean/step (ms)", "p50 (ms)",
                       "p90 (ms)", "comm ops", "comm busy (ms)",
                       "overlap frac", "wire/step (KB)"});
-  const auto record = [&](const std::string& name, const Row& row) {
+  const auto record = [&](const std::string& name,
+                          const bench::DistTrainResult& res) {
+    const bench::SampleStats step = bench::stats(res.step_seconds);
     const auto pos = name.find('/');
-    table.add_row({name.substr(0, pos), name.substr(pos + 1),
-                   bench::fmt("%.2f", row.step.mean * 1e3),
-                   bench::fmt("%.2f", row.step.p50 * 1e3),
-                   bench::fmt("%.2f", row.step.p90 * 1e3),
-                   std::to_string(row.ops),
-                   bench::fmt("%.2f", row.comm_busy_s * 1e3),
-                   bench::fmt("%.2f", row.overlap_fraction),
-                   bench::fmt("%.1f", static_cast<double>(row.wire_bytes) / 1e3)});
-    json.add_timing(name, row.step, row.overlap_fraction, row.wire_bytes,
-                    row.raw_bytes,
-                    {{"comm_ops", static_cast<double>(row.ops)},
-                     {"comm_busy_s", row.comm_busy_s},
-                     {"mean_queue_delay_s", row.mean_queue_delay_s},
+    table.add_row(
+        {name.substr(0, pos), name.substr(pos + 1),
+         bench::fmt("%.2f", step.mean * 1e3),
+         bench::fmt("%.2f", step.p50 * 1e3),
+         bench::fmt("%.2f", step.p90 * 1e3), std::to_string(res.comm_ops()),
+         bench::fmt("%.2f", res.comm_busy_s * 1e3),
+         bench::fmt("%.2f", res.overlap_fraction),
+         bench::fmt("%.1f",
+                    static_cast<double>(res.wire_bytes_per_step) / 1e3)});
+    json.add_timing(name, step, res.overlap_fraction,
+                    res.wire_bytes_per_step, res.raw_bytes_per_step,
+                    {{"comm_ops", static_cast<double>(res.comm_ops())},
+                     {"comm_busy_s", res.comm_busy_s},
+                     {"mean_queue_delay_s", res.mean_queue_delay_s},
                      {"copies_eliminated_bytes_per_step",
-                      static_cast<double>(row.arena_bytes_saved)}});
+                      static_cast<double>(res.arena_bytes_saved)}});
   };
   for (auto strategy :
        {core::DistStrategy::kDKfac, core::DistStrategy::kMpdKfac,
@@ -109,8 +82,7 @@ int main() {
     const std::string mode = hooked ? "hooked" : "post-hoc";
     record(std::string(to_string(core::DistStrategy::kSpdKfac)) +
                "+topk-grads/" + mode,
-           run(core::DistStrategy::kSpdKfac, hooked, comm::Codec::kNone,
-               comm::Codec::kTopK));
+           run(core::DistStrategy::kSpdKfac, hooked, comm::Codec::kTopK));
   }
   table.print();
   std::printf(

@@ -36,8 +36,10 @@ bench::DistTrainResult train(core::DistStrategy strategy,
   // Hook mode (Fig. 6): factor and WFBP-gradient all-reduces are submitted
   // to the background engine *during* the passes.
   bench::DistTrainConfig cfg;
-  cfg.strategy = strategy;
-  cfg.transport = transport;
+  cfg.optimizer.strategy = strategy;
+  cfg.optimizer.transport = transport;
+  cfg.optimizer.lr = 0.1;
+  cfg.optimizer.damping = 0.1;
   cfg.steps = kSteps;
   cfg.image_hw = 8;
   cfg.conv1 = 4;
@@ -46,8 +48,6 @@ bench::DistTrainResult train(core::DistStrategy strategy,
   cfg.init_seed = 1234;
   cfg.data_seed = 5;
   cfg.noise = 0.25;
-  cfg.lr = 0.1;
-  cfg.damping = 0.1;
   return bench::dist_train(cfg);
 }
 
@@ -83,13 +83,18 @@ int main(int argc, char** argv) {
   const bench::DistTrainResult spd =
       train(core::DistStrategy::kSpdKfac, transport);
 
-  std::printf("strategy   final-loss   wall(s)   broadcast-CTs\n");
-  std::printf("D-KFAC     %9.2e   %7.3f   %zu\n", dkfac.rank0_loss,
-              dkfac.wall_seconds, dkfac.broadcast_cts);
-  std::printf("MPD-KFAC   %9.2e   %7.3f   %zu\n", mpd.rank0_loss,
-              mpd.wall_seconds, mpd.broadcast_cts);
-  std::printf("SPD-KFAC   %9.2e   %7.3f   %zu\n", spd.rank0_loss,
-              spd.wall_seconds, spd.broadcast_cts);
+  std::printf(
+      "strategy   final-loss   wall(s)   broadcast-CTs   comm-ops   "
+      "overlap\n");
+  const auto print_row = [](const char* name,
+                            const bench::DistTrainResult& r) {
+    std::printf("%-9s  %9.2e   %7.3f   %13zu   %8zu   %7.2f\n", name,
+                r.rank0_loss, r.wall_seconds, r.broadcast_cts, r.comm_ops(),
+                r.overlap_fraction);
+  };
+  print_row("D-KFAC", dkfac);
+  print_row("MPD-KFAC", mpd);
+  print_row("SPD-KFAC", spd);
 
   double max_diff = 0.0;
   for (std::size_t l = 0; l < dkfac.rank0_weights.size(); ++l) {

@@ -25,10 +25,14 @@
 // Failure detection (timeout armed — see comm/fault.hpp): recv polls the
 // peer socket in heartbeat-interval slices, pinging all peers while
 // blocked; any bytes from the awaited peer (heartbeats included) reset the
-// deadline.  A dead peer surfaces three ways, all as RankFailure: EOF /
-// ECONNRESET (kPeerClosed — the kernel noticed the SIGKILL), deadline
-// expiry (kTimeout), or a forwarded failure notice naming the root dead
-// rank (kPeerNotice).
+// deadline.  The exception: a rank waiting for *data* does not count a
+// barrier signal or a barrier waiter's ping (kBarrierHeartbeatTag) from
+// the awaited peer — that peer has moved on into a barrier without the
+// send it owes, so it is timed out and named instead of the two ranks
+// vouching for each other forever.  A dead peer surfaces three ways, all
+// as RankFailure: EOF / ECONNRESET (kPeerClosed — the kernel noticed the
+// SIGKILL), deadline expiry (kTimeout), or a forwarded failure notice
+// naming the root dead rank (kPeerNotice).
 //
 // Teardown: the destructor flushes every send queue, then shuts down and
 // closes the sockets.  Flushed bytes survive the close (kernel-buffered),
@@ -212,7 +216,16 @@ class SocketTransport final : public Transport {
     }
   }
 
-  void heartbeat() override {
+  void heartbeat() override { ping(wire::kHeartbeatTag); }
+
+ private:
+  static std::string listener_path(const std::string& base, int rank) {
+    return base + ".r" + std::to_string(rank);
+  }
+
+  /// Rate-limited liveness ping to every peer, tagged kHeartbeatTag or,
+  /// from a barrier wait, kBarrierHeartbeatTag.
+  void ping(std::uint16_t tag) {
     if (timeout_s() <= 0.0 || !sender_) return;
     const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now().time_since_epoch())
@@ -226,10 +239,10 @@ class SocketTransport final : public Transport {
       return;
     }
     note_heartbeat_round();
-    wire::FrameHeader ping;
-    ping.tag = wire::kHeartbeatTag;
-    ping.src = rank_;
-    const auto frame = wire::encode_frame(ping, {});
+    wire::FrameHeader header;
+    header.tag = tag;
+    header.src = rank_;
+    const auto frame = wire::encode_frame(header, {});
     for (int peer = 0; peer < size_; ++peer) {
       if (peer == rank_) continue;
       try {
@@ -241,11 +254,6 @@ class SocketTransport final : public Transport {
     }
   }
 
- private:
-  static std::string listener_path(const std::string& base, int rank) {
-    return base + ".r" + std::to_string(rank);
-  }
-
   /// Tag demultiplexer: returns `src`'s next barrier or data frame, as
   /// requested, stashing frames of the other class for their own consumer.
   /// In lockstep operation nothing is ever stashed (collectives keep the
@@ -254,6 +262,10 @@ class SocketTransport final : public Transport {
   /// short data message.  Heartbeats are dropped here; a failure notice is
   /// re-broadcast (gossip — peers blocked on *us* learn the root dead rank
   /// too) and rethrown as a structured RankFailure.
+  ///
+  /// The armed deadline bounds the wait.  A barrier wait re-arms it on any
+  /// frame from `src`; a data wait not on a barrier signal or barrier ping,
+  /// which only say that `src` went on into a barrier without the data.
   wire::Frame next_frame_of(int src, bool want_barrier) {
     auto& mine = (want_barrier ? pending_barrier_ : pending_data_)[
         static_cast<std::size_t>(src)];
@@ -262,13 +274,21 @@ class SocketTransport final : public Transport {
       mine.pop_front();
       return frame;
     }
+    auto deadline = fresh_deadline();
     for (;;) {
-      wire::Frame frame = next_frame(src);
+      wire::Frame frame = next_frame(src, want_barrier, deadline);
       if (frame.header.src != src) {
         throw std::runtime_error("socket transport: frame src mismatch");
       }
-      if (frame.header.tag == wire::kHeartbeatTag) continue;
-      if (frame.header.tag == wire::kFailureTag) {
+      const std::uint16_t tag = frame.header.tag;
+      if (want_barrier || (tag != wire::kBarrierTag &&
+                           tag != wire::kBarrierHeartbeatTag)) {
+        deadline = fresh_deadline();
+      }
+      if (tag == wire::kHeartbeatTag || tag == wire::kBarrierHeartbeatTag) {
+        continue;
+      }
+      if (tag == wire::kFailureTag) {
         const int dead = frame.payload.empty()
                              ? -1
                              : static_cast<int>(frame.payload.front());
@@ -276,28 +296,36 @@ class SocketTransport final : public Transport {
         throw RankFailure(dead, "recv", FailureCause::kPeerNotice, rank_,
                           timeout_s());
       }
-      const bool is_barrier = frame.header.tag == wire::kBarrierTag;
+      const bool is_barrier = tag == wire::kBarrierTag;
       if (is_barrier == want_barrier) return frame;
       (is_barrier ? pending_barrier_ : pending_data_)[
           static_cast<std::size_t>(src)].push_back(std::move(frame));
     }
   }
 
-  /// Reassembles the next complete frame from `src`, honoring the armed
-  /// deadline.  Any bytes from the peer reset the deadline (progress ==
-  /// liveness); EOF and expiry turn into RankFailures after a best-effort
-  /// notice broadcast.
-  wire::Frame next_frame(int src) {
+  using Deadline = std::chrono::time_point<std::chrono::steady_clock,
+                                           std::chrono::duration<double>>;
+
+  Deadline fresh_deadline() const {
+    return std::chrono::steady_clock::now() +
+           std::chrono::duration<double>(timeout_s());
+  }
+
+  /// Reassembles the next complete frame from `src`, pinging peers while
+  /// blocked.  Bytes of a frame still in flight re-arm `deadline` (progress
+  /// == liveness); a complete frame is left to the caller to judge.  EOF
+  /// and expiry turn into RankFailures after a best-effort notice
+  /// broadcast.
+  wire::Frame next_frame(int src, bool in_barrier, Deadline& deadline) {
     wire::FrameParser& parser = parsers_[static_cast<std::size_t>(src)];
     const int fd = peer_fds_[static_cast<std::size_t>(src)];
     const double timeout = timeout_s();
     const bool timed = timeout > 0.0;
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(timeout);
     while (!parser.has_frame()) {
       if (timed) {
         if (!poll_fd(fd, POLLIN, heartbeat_interval_s())) {
-          heartbeat();
+          ping(in_barrier ? wire::kBarrierHeartbeatTag
+                          : wire::kHeartbeatTag);
           if (std::chrono::steady_clock::now() >= deadline) {
             notify_failure(src);
             throw RankFailure(src, "recv", FailureCause::kTimeout, rank_,
@@ -328,8 +356,7 @@ class SocketTransport final : public Transport {
             std::to_string(src) + " (" + wire::to_string(parser.error()) +
             ")");
       }
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::duration<double>(timeout);
+      if (!parser.has_frame()) deadline = fresh_deadline();
     }
     return parser.pop_frame();
   }

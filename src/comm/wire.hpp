@@ -52,6 +52,11 @@ inline constexpr std::uint16_t kHandshakeTag = 0xC0;
 /// deadline so an alive-but-waiting peer is never declared dead.  Filtered
 /// out of every recv stream; its arrival resets the sender's deadline.
 inline constexpr std::uint16_t kHeartbeatTag = 0xD0;
+/// Liveness ping from a rank waiting in a socket barrier.  It re-arms the
+/// deadline of a peer waiting on the same barrier, but not of a peer
+/// blocked on data from the sender: a rank that has moved into a barrier
+/// while a peer still waits for its data dropped or skipped that send.
+inline constexpr std::uint16_t kBarrierHeartbeatTag = 0xD1;
 /// Failure notice (payload: one double holding the dead rank): broadcast
 /// best-effort by whichever rank's deadline fired first, so every survivor
 /// surfaces a RankFailure naming the *root* dead rank.

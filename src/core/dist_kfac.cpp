@@ -12,18 +12,6 @@ namespace spdkfac::core {
 
 using tensor::Matrix;
 
-const char* to_string(DistStrategy strategy) noexcept {
-  switch (strategy) {
-    case DistStrategy::kDKfac:
-      return "D-KFAC";
-    case DistStrategy::kMpdKfac:
-      return "MPD-KFAC";
-    case DistStrategy::kSpdKfac:
-      return "SPD-KFAC";
-  }
-  return "?";
-}
-
 void DistKfacOptions::validate() const {
   if (factor_update_freq == 0) {
     throw std::invalid_argument(
@@ -128,17 +116,34 @@ void DistKfacOptions::validate() const {
   }
 }
 
+sched::ScheduleOptions DistKfacOptions::schedule_options() const {
+  sched::ScheduleOptions opt = sched::preset(strategy);
+  if (strategy == DistStrategy::kSpdKfac) opt.factor_comm = factor_comm;
+  opt.balance = balance;
+  opt.grad_fusion_threshold = grad_fusion_threshold;
+  opt.collective_algo = collective_algo;
+  opt.factor_codec = factor_codec;
+  opt.grad_codec = grad_codec;
+  opt.topk_ratio = topk_ratio;
+  return opt;
+}
+
 DistKfacOptions with_tunable(const DistKfacOptions& options,
                              const std::string& name, double value) {
   DistKfacOptions next = options;
   // The frequency/interval tunables arrive as doubles off the ctl wire;
   // insist on an exact positive integer so "set replan_interval=2.5"
-  // fails loudly instead of truncating.
+  // fails loudly instead of truncating, and bound it by validate()'s
+  // max/2 limit *before* the cast (casting a double beyond size_t's range
+  // is undefined behaviour).
   const auto as_count = [&](const char* what) {
+    constexpr double kMaxCount =
+        static_cast<double>(std::numeric_limits<std::size_t>::max() / 2);
     if (!std::isfinite(value) || value < 1.0 ||
-        value != std::floor(value)) {
+        value != std::floor(value) || value > kMaxCount) {
       throw std::invalid_argument(std::string("DistKfacOptions: ") + what +
-                                  " must be a positive integer");
+                                  " must be a positive integer no larger "
+                                  "than 2^63");
     }
     return static_cast<std::size_t>(value);
   };
@@ -296,30 +301,9 @@ void DistKfacOptimizer::begin_step() {
         "DistKfacOptimizer: a previous step was abandoned mid-flight "
         "(incomplete hooked step?); construct a fresh optimizer");
   }
-  sched::ScheduleOptions opt;
-  opt.second_order = true;
-  opt.factor_update = factors_due();
-  opt.inverse_update = step_count_ % options_.inverse_update_freq == 0;
-  opt.balance = options_.balance;
-  opt.grad_fusion_threshold = options_.grad_fusion_threshold;
-  opt.collective_algo = options_.collective_algo;
-  opt.factor_codec = options_.factor_codec;
-  opt.grad_codec = options_.grad_codec;
-  opt.topk_ratio = options_.topk_ratio;
-  switch (options_.strategy) {
-    case DistStrategy::kDKfac:
-      opt.factor_comm = sched::FactorCommMode::kBulk;
-      opt.inverse = sched::InverseMode::kLocalAll;
-      break;
-    case DistStrategy::kMpdKfac:
-      opt.factor_comm = sched::FactorCommMode::kBulk;
-      opt.inverse = sched::InverseMode::kSeqDist;
-      break;
-    case DistStrategy::kSpdKfac:
-      opt.factor_comm = options_.factor_comm;
-      opt.inverse = sched::InverseMode::kLBP;
-      break;
-  }
+  sched::ScheduleOptions opt = options_.schedule_options();
+  const sched::StepPhases phases{
+      factors_due(), step_count_ % options_.inverse_update_freq == 0};
 
   const bool live = options_.profile_trajectory.empty();
   const bool measured_fusion =
@@ -330,7 +314,7 @@ void DistKfacOptimizer::begin_step() {
   // refreshes the planning profile (sync + EMA snapshot in live mode, the
   // next trajectory entry otherwise).  step_count_ advances in lockstep on
   // every rank, so all ranks re-plan at the same steps.
-  if (opt.factor_update && step_count_ >= next_replan_step_) {
+  if (phases.factor_update && step_count_ >= next_replan_step_) {
     refresh_planning_profile(measured_fusion);
     next_replan_step_ = step_count_ + options_.replan_interval;
   }
@@ -338,7 +322,7 @@ void DistKfacOptimizer::begin_step() {
   // The Eq. (15) objective needs layer timing; until a re-plan installed a
   // real profile (first factor step in live mode) fall back to layer-wise
   // communication, exactly like the paper's warm-up profiling iterations.
-  if (opt.factor_update && measured_fusion && !profiled_timing_ &&
+  if (phases.factor_update && measured_fusion && !profiled_timing_ &&
       opt.factor_comm == sched::FactorCommMode::kOptimalFuse) {
     opt.factor_comm = sched::FactorCommMode::kLayerWise;
   }
@@ -362,19 +346,19 @@ void DistKfacOptimizer::begin_step() {
   // reuse the stored plan — a pointer install, not a planner run — byte
   // for byte.
   if (options_.plan_cache_capacity > 0) {
-    sched::PlanCache::Key key{opt.factor_update, opt.inverse_update,
+    sched::PlanCache::Key key{phases.factor_update, phases.inverse_update,
                               opt.factor_comm,
                               sched::ProfileSignature::of(current_timing_,
                                                           comm_.size())};
     if (auto hit = plan_cache_.find(key)) {
       plan_ = std::move(hit);
     } else {
-      plan_ = plan_cache_.insert(key,
-                                 sched::plan_iteration(inputs, opt, costs_));
+      plan_ = plan_cache_.insert(
+          key, sched::plan_iteration(inputs, opt, costs_, phases));
     }
   } else {
     plan_ = std::make_shared<const sched::IterationPlan>(
-        sched::plan_iteration(inputs, opt, costs_));
+        sched::plan_iteration(inputs, opt, costs_, phases));
   }
   if (!plan_->placement.assignments.empty()) placement_ = plan_->placement;
 

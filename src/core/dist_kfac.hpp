@@ -50,8 +50,8 @@
 // cost and execute a bitwise-stable schedule.  A `profile_trajectory`
 // replays a deterministic sequence of profiles across re-plan epochs
 // instead (no sync op) — the form the adaptive equivalence and determinism
-// suites lock down, mirrored by sim::simulate_trajectory; a one-entry
-// trajectory pins the timing forever.
+// suites lock down against sim::simulate_iteration fed each entry as its
+// AlgorithmConfig::profile; a one-entry trajectory pins the timing forever.
 #pragma once
 
 #include <cstddef>
@@ -76,9 +76,9 @@
 
 namespace spdkfac::core {
 
-enum class DistStrategy { kDKfac, kMpdKfac, kSpdKfac };
-
-const char* to_string(DistStrategy strategy) noexcept;
+/// The strategy table lives in sched (planner.hpp): the enum, its names
+/// and the sched::preset each strategy plans with.
+using DistStrategy = sched::DistStrategy;
 
 struct DistKfacOptions {
   double lr = 0.05;
@@ -149,7 +149,7 @@ struct DistKfacOptions {
   /// feeds both the runtime and the simulator).  Empty: measure factor
   /// times online, rank-average them, and plan layer-wise on the first
   /// factor step.
-  std::vector<sched::PassTiming> profile_trajectory;
+  std::vector<sched::PassTiming> profile_trajectory{};
 
   /// Iterations between planning-profile refreshes (>= 1).  A re-plan
   /// fires at the first factor-update step on or after each boundary: the
@@ -199,6 +199,14 @@ struct DistKfacOptions {
   /// not a power of two in [1024, 2^31], a negative/non-finite
   /// comm_timeout_s, a topk factor_codec, or a topk_ratio outside (0, 1].
   void validate() const;
+
+  /// The planner options of this configuration — the one runtime→planner
+  /// conversion: sched::preset(strategy), factor_comm under kSpdKfac only
+  /// (the bulk strategies always aggregate one op per factor family), and
+  /// the shared knobs (balance, grad_fusion_threshold, collective_algo,
+  /// the codecs, topk_ratio).  The simulator fed this is planning exactly
+  /// what the optimizer executes.
+  sched::ScheduleOptions schedule_options() const;
 };
 
 /// Copy of `options` with the tunable named `name` set to `value`, already

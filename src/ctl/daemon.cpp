@@ -1,9 +1,11 @@
 #include "ctl/daemon.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "comm/transport.hpp"
@@ -17,6 +19,14 @@
 #include "util/json.hpp"
 
 namespace spdkfac::ctl {
+
+std::optional<std::size_t> parse_count(std::string_view text) noexcept {
+  std::size_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 namespace {
 
@@ -148,7 +158,7 @@ void Daemon::rank_main(comm::Communicator& comm) {
     out += "\"step\": " + std::to_string(optimizer.steps());
     out += ", \"replan_epoch\": " + std::to_string(optimizer.replan_count());
     out += ", \"strategy\": " +
-           util::json_string(core::to_string(optimizer.strategy()));
+           util::json_string(sched::to_string(optimizer.strategy()));
     out += ", \"world\": " + std::to_string(comm.size());
     out += ", \"pending_steps\": " + std::to_string(budget);
     out += ", \"last_loss\": " + util::json_number(last_loss);
@@ -313,12 +323,12 @@ void Daemon::rank_main(comm::Communicator& comm) {
       }
       std::size_t n = 1;
       if (words.size() == 2) {
-        const std::size_t parsed = std::strtoul(words[1].c_str(), nullptr, 10);
-        if (parsed == 0) {
-          return Response{false, "usage: step [count >= 1]"};
-        }
-        n = parsed;
-      } else if (words.size() > 2) {
+        n = parse_count(words[1]).value_or(0);
+      }
+      // The queue must not wrap: a count the budget cannot absorb is as
+      // malformed as "-1" or "3abc".
+      if (words.size() > 2 || n == 0 ||
+          n > std::numeric_limits<std::size_t>::max() - budget) {
         return Response{false, "usage: step [count >= 1]"};
       }
       budget += n;

@@ -28,7 +28,9 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,6 +67,11 @@ struct DaemonOptions {
   double noise = 0.0;
   bool hooked = true;  ///< in-pass submission (Fig. 6) vs post-hoc
 };
+
+/// Strict decimal count: digits only — no sign, no whitespace, no
+/// trailing characters — and representable in size_t; nullopt otherwise.
+/// Parses `step n` and spdkfacd's --steps / --replan-interval.
+std::optional<std::size_t> parse_count(std::string_view text) noexcept;
 
 class Daemon {
  public:

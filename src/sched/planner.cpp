@@ -37,6 +37,37 @@ const char* to_string(InverseMode mode) noexcept {
   return "?";
 }
 
+const char* to_string(DistStrategy strategy) noexcept {
+  switch (strategy) {
+    case DistStrategy::kDKfac:
+      return "D-KFAC";
+    case DistStrategy::kMpdKfac:
+      return "MPD-KFAC";
+    case DistStrategy::kSpdKfac:
+      return "SPD-KFAC";
+  }
+  return "?";
+}
+
+ScheduleOptions preset(DistStrategy strategy) noexcept {
+  ScheduleOptions options;
+  switch (strategy) {
+    case DistStrategy::kDKfac:
+      options.factor_comm = FactorCommMode::kBulk;
+      options.inverse = InverseMode::kLocalAll;
+      break;
+    case DistStrategy::kMpdKfac:
+      options.factor_comm = FactorCommMode::kBulk;
+      options.inverse = InverseMode::kSeqDist;
+      break;
+    case DistStrategy::kSpdKfac:
+      options.factor_comm = FactorCommMode::kOptimalFuse;
+      options.inverse = InverseMode::kLBP;
+      break;
+  }
+  return options;
+}
+
 ScheduleCosts costs_from(const perf::ClusterCalibration& cal) {
   return ScheduleCosts{cal.allreduce, cal.bcast_fabric, cal.inverse,
                        cal.effective_selector()};
@@ -121,7 +152,8 @@ class Builder {
 
 IterationPlan plan_iteration(const ScheduleInputs& inputs,
                              const ScheduleOptions& options,
-                             const ScheduleCosts& costs) {
+                             const ScheduleCosts& costs,
+                             StepPhases phases) {
   const std::size_t L = inputs.layers.size();
   if (L == 0) {
     throw std::invalid_argument("plan_iteration: empty layer list");
@@ -129,7 +161,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
   if (inputs.world_size < 1) {
     throw std::invalid_argument("plan_iteration: world_size must be >= 1");
   }
-  const bool factor_phase = options.second_order && options.factor_update;
+  const bool factor_phase = options.second_order && phases.factor_update;
   const PassTiming& timing = inputs.timing;
   if (factor_phase &&
       (timing.a_ready.size() != L || timing.g_ready.size() != L)) {
@@ -154,7 +186,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
   plan.world_size = inputs.world_size;
   plan.second_order = options.second_order;
   plan.factor_update = factor_phase;
-  plan.inverse_update = options.second_order && options.inverse_update;
+  plan.inverse_update = options.second_order && phases.inverse_update;
   Builder b(plan, options, costs);
 
   // Packed factor sizes in pass order (G pass runs deepest layer first).

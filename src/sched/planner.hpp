@@ -2,6 +2,9 @@
 // description, the distribution options, and the fitted cost models.
 //
 // This is the single place the paper's scheduling policies are decided:
+//   * the strategy table — D-KFAC / MPD-KFAC / SPD-KFAC (Table III) as
+//     (FactorCommMode, InverseMode) presets, which the runtime and the
+//     simulator both start from;
 //   * WFBP gradient grouping (Horovod threshold fusion, backward order);
 //   * Kronecker-factor aggregation per FactorCommMode — one bulk op per
 //     family (D-KFAC / MPD-KFAC), naive forward-overlap, layer-wise,
@@ -46,8 +49,17 @@ enum class InverseMode {
   kLBP,       ///< Algorithm 1 with CT/NCT typing (SPD-KFAC)
 };
 
+/// The three distributed K-FAC schedules the paper compares (Table III).
+/// The values are persisted in checkpoint journals: never renumber them.
+enum class DistStrategy {
+  kDKfac = 0,    ///< bulk factor comm + local inverses everywhere
+  kMpdKfac = 1,  ///< bulk factor comm + Seq-Dist inverses
+  kSpdKfac = 2,  ///< Eq. (15) pipelined fusion + LBP inverses (the paper)
+};
+
 const char* to_string(FactorCommMode mode) noexcept;
 const char* to_string(InverseMode mode) noexcept;
+const char* to_string(DistStrategy strategy) noexcept;
 
 /// Shape of one preconditioned layer — everything scheduling depends on.
 struct LayerShape {
@@ -79,10 +91,10 @@ struct ScheduleInputs {
   PassTiming timing;
 };
 
+/// Plan-shaping knobs.  The defaults are the SPD-KFAC preset with the
+/// seed's lossless ring collectives.
 struct ScheduleOptions {
-  bool second_order = true;
-  bool factor_update = true;   ///< factors recomputed+aggregated this step
-  bool inverse_update = true;  ///< inverses recomputed this step
+  bool second_order = true;  ///< false: plain (S-)SGD, no K-FAC phases
   FactorCommMode factor_comm = FactorCommMode::kOptimalFuse;
   InverseMode inverse = InverseMode::kLBP;
   BalanceMetric balance = BalanceMetric::kEstimatedTime;
@@ -105,6 +117,17 @@ struct ScheduleOptions {
   double topk_ratio = 0.01;
 };
 
+/// The ScheduleOptions of `strategy`: its (FactorCommMode, InverseMode)
+/// pair, every other knob at its default.
+ScheduleOptions preset(DistStrategy strategy) noexcept;
+
+/// Which optional phases one step runs — the factor_update_freq /
+/// inverse_update_freq cadence.  The default is a full step.
+struct StepPhases {
+  bool factor_update = true;   ///< factors recomputed+aggregated this step
+  bool inverse_update = true;  ///< inverses recomputed this step
+};
+
 /// Cost models the planner decides with (not what execution is priced at —
 /// the simulator prices the finished plan with its own calibration).
 struct ScheduleCosts {
@@ -124,7 +147,8 @@ ScheduleCosts costs_from(const perf::ClusterCalibration& cal);
 /// empty layer list).
 IterationPlan plan_iteration(const ScheduleInputs& inputs,
                              const ScheduleOptions& options,
-                             const ScheduleCosts& costs);
+                             const ScheduleCosts& costs,
+                             StepPhases phases = {});
 
 /// Layer shapes of a ModelSpec (packed factor triangles, parameter counts).
 std::vector<LayerShape> shapes_from_model(const models::ModelSpec& model);

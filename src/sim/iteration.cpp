@@ -4,46 +4,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "comm/codec.hpp"
+
 namespace spdkfac::sim {
 
-AlgorithmConfig AlgorithmConfig::sgd() {
-  AlgorithmConfig cfg;
-  cfg.name = "SGD";
-  cfg.second_order = false;
-  return cfg;
-}
-
-AlgorithmConfig AlgorithmConfig::kfac() {
-  AlgorithmConfig cfg;
-  cfg.name = "KFAC";
-  cfg.second_order = true;
-  cfg.factor_comm = FactorCommMode::kBulk;
-  cfg.inverse = InverseMode::kLocalAll;
-  return cfg;
-}
-
-AlgorithmConfig AlgorithmConfig::dkfac() {
-  AlgorithmConfig cfg = kfac();
-  cfg.name = "D-KFAC";
-  return cfg;
-}
-
-AlgorithmConfig AlgorithmConfig::mpd_kfac() {
-  AlgorithmConfig cfg = kfac();
-  cfg.name = "MPD-KFAC";
-  cfg.inverse = InverseMode::kSeqDist;
-  return cfg;
-}
-
-AlgorithmConfig AlgorithmConfig::spd_kfac() {
-  AlgorithmConfig cfg = kfac();
-  cfg.name = "SPD-KFAC";
-  cfg.factor_comm = FactorCommMode::kOptimalFuse;
-  cfg.inverse = InverseMode::kLBP;
-  return cfg;
-}
-
 namespace {
+
+AlgorithmConfig preset_config(sched::DistStrategy strategy) {
+  return AlgorithmConfig(sched::preset(strategy), sched::to_string(strategy));
+}
 
 /// Prices one gang all-reduce of the plan: kRing policy keeps the seed's
 /// Eq. (14) pricing; otherwise the calibration's selector prices the
@@ -86,6 +55,28 @@ TaskKind sim_kind(sched::TaskKind kind) noexcept {
 
 }  // namespace
 
+AlgorithmConfig AlgorithmConfig::sgd() {
+  AlgorithmConfig cfg(sched::preset(sched::DistStrategy::kDKfac), "SGD");
+  cfg.second_order = false;
+  return cfg;
+}
+
+AlgorithmConfig AlgorithmConfig::kfac() {
+  return AlgorithmConfig(sched::preset(sched::DistStrategy::kDKfac), "KFAC");
+}
+
+AlgorithmConfig AlgorithmConfig::dkfac() {
+  return preset_config(sched::DistStrategy::kDKfac);
+}
+
+AlgorithmConfig AlgorithmConfig::mpd_kfac() {
+  return preset_config(sched::DistStrategy::kMpdKfac);
+}
+
+AlgorithmConfig AlgorithmConfig::spd_kfac() {
+  return preset_config(sched::DistStrategy::kSpdKfac);
+}
+
 IterationResult simulate_iteration(const models::ModelSpec& model,
                                    std::size_t batch,
                                    const perf::ClusterCalibration& cal,
@@ -98,21 +89,11 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
   // Build the iteration task-graph with the shared planner — the same
   // schedule the runtime optimizer executes.
   // -------------------------------------------------------------------
-  sched::ScheduleOptions opt;
-  opt.second_order = cfg.second_order;
-  opt.factor_comm = cfg.factor_comm;
-  opt.inverse = cfg.inverse;
-  opt.balance = cfg.balance;
-  opt.grad_fusion_threshold = cfg.grad_fusion_threshold;
-  opt.collective_algo = cfg.collective_algo;
-  opt.factor_codec = cfg.factor_codec;
-  opt.grad_codec = cfg.grad_codec;
-  opt.topk_ratio = cfg.topk_ratio;
   IterationResult result;
   sched::ScheduleInputs inputs = sched::inputs_from_model(
       model, batch, cal.compute, world, cfg.second_order);
   if (!cfg.profile.empty()) inputs.timing = cfg.profile;
-  result.plan = sched::plan_iteration(inputs, opt, sched::costs_from(cal));
+  result.plan = sched::plan_iteration(inputs, cfg, sched::costs_from(cal));
   const sched::IterationPlan& plan = result.plan;
 
   const int S = cfg.compute_streams;
@@ -335,20 +316,6 @@ double iteration_time(const models::ModelSpec& model, std::size_t batch,
                       const perf::ClusterCalibration& cal,
                       const AlgorithmConfig& cfg) {
   return simulate_iteration(model, batch, cal, cfg).total;
-}
-
-std::vector<IterationResult> simulate_trajectory(
-    const models::ModelSpec& model, std::size_t batch,
-    const perf::ClusterCalibration& cal, const AlgorithmConfig& cfg,
-    std::span<const sched::PassTiming> trajectory) {
-  std::vector<IterationResult> results;
-  results.reserve(trajectory.size());
-  AlgorithmConfig epoch_cfg = cfg;
-  for (const sched::PassTiming& timing : trajectory) {
-    epoch_cfg.profile = timing;
-    results.push_back(simulate_iteration(model, batch, cal, epoch_cfg));
-  }
-  return results;
 }
 
 }  // namespace spdkfac::sim

@@ -17,16 +17,15 @@
 // the plan onto simulated streams and charges each task its cost-model
 // duration.  The pipelining baselines of Fig. 10 (Naive, LW w/o TF, LW w/
 // TTF) and the placement baselines of Fig. 12 (Non-Dist, Seq-Dist) are
-// expressible through AlgorithmConfig, which is how the ablation of Fig. 13
-// is produced.
+// expressible through AlgorithmConfig's planner options, which is how the
+// ablation of Fig. 13 is produced.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "comm/codec.hpp"
 #include "comm/collectives.hpp"
 #include "models/model_spec.hpp"
 #include "perf/models.hpp"
@@ -40,15 +39,16 @@ namespace spdkfac::sim {
 using sched::FactorCommMode;
 using sched::InverseMode;
 
-struct AlgorithmConfig {
+/// What to simulate: the planner's ScheduleOptions, handed to
+/// sched::plan_iteration as they are, plus the pricing-only fields below.
+/// The strategy factories start from sched::preset and take the
+/// strategy's to_string name.
+struct AlgorithmConfig : sched::ScheduleOptions {
+  explicit AlgorithmConfig(const sched::ScheduleOptions& options,
+                           std::string config_name = {})
+      : sched::ScheduleOptions(options), name(std::move(config_name)) {}
+
   std::string name;
-  bool second_order = true;  ///< false: plain (S-)SGD
-  FactorCommMode factor_comm = FactorCommMode::kBulk;
-  InverseMode inverse = InverseMode::kLocalAll;
-  sched::BalanceMetric balance = sched::BalanceMetric::kEstimatedTime;
-  /// Gradient aggregation is always WFBP + threshold fusion (the Horovod
-  /// default the paper keeps for gradients in every algorithm).
-  std::size_t grad_fusion_threshold = sched::kHorovodThresholdElements;
   /// Concurrent compute workers per GPU — the simulator counterpart of the
   /// runtime's DistKfacOptions::pool_size.  1 reproduces the classic
   /// single-stream pricing (factor builds serialize with the passes);
@@ -58,27 +58,13 @@ struct AlgorithmConfig {
   /// GPU's inverse worklist over all S streams.  The *plan* is identical
   /// for every value; only the pricing of its compute tasks changes.
   int compute_streams = 1;
-  /// All-reduce algorithm used to price every gang collective (gradients
-  /// and factors).  kRing reproduces the seed exactly; kAuto selects per
-  /// message size/topology via the calibration's AlgorithmSelector
-  /// (NCCL-style switching); any concrete algorithm forces that algorithm.
-  comm::AllReduceAlgo collective_algo = comm::AllReduceAlgo::kRing;
-  /// Collective payload codecs (comm/codec.hpp), forwarded to the planner
-  /// exactly like the runtime's DistKfacOptions — compression shifts the m
-  /// of Eq. (14), so the simulated plan's fusion groups, CT/NCT typing and
-  /// algorithm choices are re-derived from the compressed sizes, and the
-  /// pricer charges each collective its wire bytes plus the modeled
-  /// encode/decode compute.  kNone reproduces the seed's pricing exactly.
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
-  double topk_ratio = 0.01;  ///< kTopK keep ratio (fraction shipped)
-
-  /// Planning profile override — the simulator counterpart of a one-entry
-  /// DistKfacOptions::profile_trajectory.  Empty: derive pass timing from the
-  /// calibration's compute model (the classic behaviour).  Non-empty: plan
-  /// from exactly this timing, which is how the adaptive equivalence suite
-  /// hands the simulator the same synced profile the runtime re-planned
-  /// from.  Pricing of the pass/compute tasks still uses the calibration.
+  /// Planning profile override — the simulator counterpart of a
+  /// DistKfacOptions::profile_trajectory entry.  Empty: derive pass timing
+  /// from the calibration's compute model (the classic behaviour).
+  /// Non-empty: plan from exactly this timing, which is how the adaptive
+  /// equivalence suite hands the simulator each synced profile the runtime
+  /// re-planned from.  Pricing of the pass/compute tasks still uses the
+  /// calibration.
   sched::PassTiming profile;
 
   static AlgorithmConfig sgd();       ///< SGD / S-SGD (depends on world size)
@@ -137,17 +123,5 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
 double iteration_time(const models::ModelSpec& model, std::size_t batch,
                       const perf::ClusterCalibration& cal,
                       const AlgorithmConfig& cfg);
-
-/// Adaptive re-planning, simulated: one iteration per trajectory entry,
-/// each planned *and priced* from that epoch's profile — the mirror of the
-/// runtime's re-plan loop (which rebuilds its plan every replan_interval
-/// steps from the synced online profile).  Feeding both the same
-/// trajectory must yield byte-identical plans epoch for epoch; the
-/// adaptive equivalence suite enforces exactly that.  `trajectory` may be
-/// empty (returns no results).
-std::vector<IterationResult> simulate_trajectory(
-    const models::ModelSpec& model, std::size_t batch,
-    const perf::ClusterCalibration& cal, const AlgorithmConfig& cfg,
-    std::span<const sched::PassTiming> trajectory);
 
 }  // namespace spdkfac::sim

@@ -85,6 +85,20 @@ TEST(WithTunable, FrequencyTunablesRequirePositiveIntegers) {
   }
 }
 
+TEST(WithTunable, CountTunablesRejectValuesBeyondSizeT) {
+  // Integral doubles past size_t's range must be rejected before the
+  // conversion (which would be undefined behaviour), not wrapped.
+  const DistKfacOptions base;
+  for (const char* name :
+       {"factor_update_freq", "inverse_update_freq", "replan_interval"}) {
+    EXPECT_THROW(with_tunable(base, name, 1e300), std::invalid_argument)
+        << name;
+    EXPECT_THROW(with_tunable(base, name, 18446744073709551616.0),  // 2^64
+                 std::invalid_argument)
+        << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Live optimizer: set_tunable / force_replan between steps.
 // ---------------------------------------------------------------------------

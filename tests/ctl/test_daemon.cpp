@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -169,6 +171,47 @@ TEST(CtlDaemon, EveryCommandAnswersAgainstALiveDaemon) {
   });
   EXPECT_EQ(daemon.steps_completed(), 2u);
   EXPECT_EQ(daemon.rank0_weights().size(), kLayers);
+}
+
+TEST(CtlParseCount, AcceptsOnlyPlainDecimalCounts) {
+  EXPECT_EQ(ctl::parse_count("0"), std::optional<std::size_t>(0));
+  EXPECT_EQ(ctl::parse_count("42"), std::optional<std::size_t>(42));
+  EXPECT_EQ(ctl::parse_count("18446744073709551615"),
+            std::optional<std::size_t>(SIZE_MAX));
+  for (const char* bad : {"", "-1", "+2", " 3", "3 ", "3abc", "0x10", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ctl::parse_count(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(CtlDaemon, MalformedStepCountsAreRejected) {
+  const ctl::DaemonOptions opts = daemon_options("stepcount");
+  ctl::Daemon daemon(opts);
+  drive_daemon(daemon, opts.socket_path, [&](ctl::CtlClient& client) {
+    // Negative, trailing garbage, zero, signed, too many words, and past
+    // size_t: each is a usage error, none queues anything.
+    for (const char* bad :
+         {"step -1", "step 3abc", "step 0", "step +2", "step 1 2",
+          "step 18446744073709551616"}) {
+      const ctl::Response r = client.request(bad);
+      EXPECT_FALSE(r.ok) << bad << " was accepted: " << r.body;
+      EXPECT_NE(r.body.find("usage: step"), std::string::npos)
+          << bad << ": " << r.body;
+    }
+    ctl::Response r = client.request("status");
+    ASSERT_TRUE(r.ok) << r.body;
+    EXPECT_NE(r.body.find("\"pending_steps\": 0"), std::string::npos)
+        << r.body;
+
+    // The largest count queues; a count the queue cannot absorb on top of
+    // it is rejected instead of wrapping the budget.
+    r = client.request("step 18446744073709551615");
+    ASSERT_TRUE(r.ok) << r.body;
+    r = client.request("step 2");
+    EXPECT_FALSE(r.ok) << "budget wrapped: " << r.body;
+    EXPECT_NE(r.body.find("usage: step"), std::string::npos) << r.body;
+    EXPECT_TRUE(client.request("shutdown").ok);
+  });
 }
 
 TEST(CtlDaemon, RejectedSetLeavesOptionsUntouched) {

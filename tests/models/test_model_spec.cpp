@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 namespace spdkfac::models {
@@ -48,6 +49,11 @@ struct TableIIRow {
   double a_m;  // millions of upper-triangle elements
   double g_m;
 };
+
+// Prints the row by model name.  gtest's default dumps the struct's raw
+// bytes, including the address of `name`, which would make the listed test
+// names differ from one process to the next.
+void PrintTo(const TableIIRow& row, std::ostream* os) { *os << row.name; }
 
 class TableII : public ::testing::TestWithParam<TableIIRow> {};
 

@@ -3,9 +3,10 @@
 //
 //   1. Trajectory equivalence: a runtime driven by a deterministic profile
 //      trajectory re-plans every `replan_interval` steps, and each epoch's
-//      schedule must be byte-identical to what sim::simulate_trajectory
-//      produces from the same trajectory — the adaptive extension of the
-//      PR 3 runtime/sim equivalence contract.  The recorded collective
+//      schedule must be byte-identical to what sim::simulate_iteration
+//      plans from that epoch's trajectory entry (AlgorithmConfig::profile)
+//      — the adaptive extension of the PR 3 runtime/sim equivalence
+//      contract.  The recorded collective
 //      submissions of every step must be exactly that epoch's canonical
 //      collective sequence, with no out-of-plan traffic (trajectory mode
 //      needs no profile sync).
@@ -66,6 +67,32 @@ std::vector<sched::PassTiming> trajectory_for(
   return {base, scale_timing(base, 12.0), scale_timing(base, 150.0)};
 }
 
+/// The options every adaptive run here shares: SPD-KFAC with the Eq. (15)
+/// fusion the trajectory steers.
+core::DistKfacOptions adaptive_options() {
+  core::DistKfacOptions opts;
+  opts.strategy = core::DistStrategy::kSpdKfac;
+  opts.factor_comm = sched::FactorCommMode::kOptimalFuse;
+  opts.grad_fusion_threshold = kGradThreshold;
+  opts.lr = 0.1;
+  opts.damping = 0.1;
+  return opts;
+}
+
+/// adaptive_options() planning from `trajectory` with the calibration's
+/// cost models — what the epoch-equivalence test runs and simulates.
+core::DistKfacOptions trajectory_options(
+    const std::vector<sched::PassTiming>& trajectory,
+    const perf::ClusterCalibration& cal) {
+  core::DistKfacOptions opts = adaptive_options();
+  opts.allreduce_model = cal.allreduce;
+  opts.broadcast_model = cal.bcast_fabric;
+  opts.inverse_model = cal.inverse;
+  opts.profile_trajectory = trajectory;
+  opts.replan_interval = kReplanInterval;
+  return opts;
+}
+
 struct StepCapture {
   std::string plan_text;
   std::vector<std::string> submissions;  // op names, this step only
@@ -74,25 +101,12 @@ struct StepCapture {
 /// Runs `steps` adaptive steps (post-hoc) and captures rank 0's per-step
 /// plan + submissions.
 std::vector<StepCapture> run_adaptive_runtime(
-    int world, const std::vector<sched::PassTiming>& trajectory, int steps,
-    const perf::ClusterCalibration& cal) {
+    int world, const core::DistKfacOptions& opts, int steps) {
   std::vector<StepCapture> captures;
   comm::Cluster::launch(world, [&](comm::Communicator& comm) {
     Rng init(4242);
     nn::Sequential model = nn::make_mlp(kWidths, init);
     auto layers = model.preconditioned_layers();
-
-    core::DistKfacOptions opts;
-    opts.strategy = core::DistStrategy::kSpdKfac;
-    opts.factor_comm = sched::FactorCommMode::kOptimalFuse;
-    opts.grad_fusion_threshold = kGradThreshold;
-    opts.lr = 0.1;
-    opts.damping = 0.1;
-    opts.allreduce_model = cal.allreduce;
-    opts.broadcast_model = cal.bcast_fabric;
-    opts.inverse_model = cal.inverse;
-    opts.profile_trajectory = trajectory;
-    opts.replan_interval = kReplanInterval;
     core::DistKfacOptimizer optimizer(layers, comm, opts);
 
     Rng shard(100 + comm.rank());
@@ -121,12 +135,6 @@ std::vector<StepCapture> run_adaptive_runtime(
   return captures;
 }
 
-sim::AlgorithmConfig adaptive_sim_config() {
-  sim::AlgorithmConfig cfg = sim::AlgorithmConfig::spd_kfac();
-  cfg.grad_fusion_threshold = kGradThreshold;
-  return cfg;
-}
-
 class AdaptiveEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdaptiveEquivalence, ReplannedSchedulesMatchSimulatorEpochForEpoch) {
@@ -135,10 +143,16 @@ TEST_P(AdaptiveEquivalence, ReplannedSchedulesMatchSimulatorEpochForEpoch) {
       perf::ClusterCalibration::for_topology(comm::Topology::flat(world));
   const models::ModelSpec spec = models::mlp_spec(kWidths);
   const std::vector<sched::PassTiming> trajectory = trajectory_for(spec, cal);
+  const core::DistKfacOptions opts = trajectory_options(trajectory, cal);
 
-  const std::vector<sim::IterationResult> sim_epochs =
-      sim::simulate_trajectory(spec, kBatch, cal, adaptive_sim_config(),
-                               trajectory);
+  // One simulated iteration per epoch, each planned from its trajectory
+  // entry — the simulator side of the runtime's re-plan loop.
+  sim::AlgorithmConfig cfg(opts.schedule_options());
+  std::vector<sim::IterationResult> sim_epochs;
+  for (const sched::PassTiming& timing : trajectory) {
+    cfg.profile = timing;
+    sim_epochs.push_back(sim::simulate_iteration(spec, kBatch, cal, cfg));
+  }
   ASSERT_EQ(sim_epochs.size(), trajectory.size());
 
   // The trajectory must actually adapt the schedule, or the test is
@@ -153,7 +167,7 @@ TEST_P(AdaptiveEquivalence, ReplannedSchedulesMatchSimulatorEpochForEpoch) {
 
   const int steps = static_cast<int>(trajectory.size() * kReplanInterval);
   const std::vector<StepCapture> runtime =
-      run_adaptive_runtime(world, trajectory, steps, cal);
+      run_adaptive_runtime(world, opts, steps);
   ASSERT_EQ(runtime.size(), static_cast<std::size_t>(steps));
 
   for (int s = 0; s < steps; ++s) {
@@ -199,12 +213,7 @@ std::vector<Matrix> train_adaptive(int world, std::size_t cache_capacity,
     Rng init(2024);
     nn::Sequential model = nn::make_mlp(kWidths, init);
     auto layers = model.preconditioned_layers();
-    core::DistKfacOptions opts;
-    opts.strategy = core::DistStrategy::kSpdKfac;
-    opts.factor_comm = sched::FactorCommMode::kOptimalFuse;
-    opts.grad_fusion_threshold = kGradThreshold;
-    opts.lr = 0.1;
-    opts.damping = 0.1;
+    core::DistKfacOptions opts = adaptive_options();
     opts.stat_decay = 0.5;
     opts.profile_trajectory = trajectory_for(spec, cal);
     opts.replan_interval = kReplanInterval;
@@ -263,12 +272,7 @@ TEST(AdaptiveLiveMode, MeasuredProfileLoopSyncsAndCompletes) {
     Rng init(7);
     nn::Sequential model = nn::make_mlp(kWidths, init);
     auto layers = model.preconditioned_layers();
-    core::DistKfacOptions opts;
-    opts.strategy = core::DistStrategy::kSpdKfac;
-    opts.factor_comm = sched::FactorCommMode::kOptimalFuse;
-    opts.grad_fusion_threshold = kGradThreshold;
-    opts.lr = 0.1;
-    opts.damping = 0.1;
+    core::DistKfacOptions opts = adaptive_options();
     opts.replan_interval = 2;
     core::DistKfacOptimizer optimizer(layers, comm, opts);
 

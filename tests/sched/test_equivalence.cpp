@@ -46,41 +46,41 @@ constexpr std::size_t kConvC1 = 4, kConvC2 = 6;
 /// exercises the plans on non-MLP shapes (mixed Conv2d/Linear factors).
 enum class ModelKind { kMlp, kConv };
 
-struct Config {
-  core::DistStrategy strategy;
-  sched::FactorCommMode factor_comm;  // SPD only; bulk strategies ignore it
-  comm::AllReduceAlgo algo = comm::AllReduceAlgo::kRing;
+/// One cell of the suite: the runtime options it varies (strategy,
+/// factor-comm mode, algorithm, codecs) and the network it trains.  The
+/// simulator is configured from the same options, through
+/// DistKfacOptions::schedule_options.
+struct Cell {
+  core::DistKfacOptions options;
   ModelKind model = ModelKind::kMlp;
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
-  double topk_ratio = 0.01;
 };
 
 /// CI's forced-codec sweep: SPDKFAC_TEST_FACTOR_CODEC / _GRAD_CODEC /
 /// _TOPK_RATIO overlay every cell (runtime options *and* simulator config
 /// — that is the point: the whole suite must hold under compression too).
-Config with_env_codecs(Config c) {
+Cell with_env_codecs(Cell c) {
   if (const char* env = std::getenv("SPDKFAC_TEST_FACTOR_CODEC")) {
-    c.factor_codec = comm::codec_from_string(env);
+    c.options.factor_codec = comm::codec_from_string(env);
   }
   if (const char* env = std::getenv("SPDKFAC_TEST_GRAD_CODEC")) {
-    c.grad_codec = comm::codec_from_string(env);
+    c.options.grad_codec = comm::codec_from_string(env);
   }
   if (const char* env = std::getenv("SPDKFAC_TEST_TOPK_RATIO")) {
-    c.topk_ratio = std::stod(env);
+    c.options.topk_ratio = std::stod(env);
   }
   return c;
 }
 
-std::string config_name(const Config& c) {
-  std::string n = std::string(to_string(c.strategy)) + "/" +
-                  sched::to_string(c.factor_comm) + "@" +
-                  comm::to_string(c.algo) +
+std::string config_name(const Cell& c) {
+  const core::DistKfacOptions& o = c.options;
+  std::string n = std::string(to_string(o.strategy)) + "/" +
+                  sched::to_string(o.schedule_options().factor_comm) + "@" +
+                  comm::to_string(o.collective_algo) +
                   (c.model == ModelKind::kConv ? " conv" : " mlp");
-  if (c.factor_codec != comm::Codec::kNone ||
-      c.grad_codec != comm::Codec::kNone) {
-    n += std::string(" codec=") + comm::to_string(c.factor_codec) + "/" +
-         comm::to_string(c.grad_codec);
+  if (o.factor_codec != comm::Codec::kNone ||
+      o.grad_codec != comm::Codec::kNone) {
+    n += std::string(" codec=") + comm::to_string(o.factor_codec) + "/" +
+         comm::to_string(o.grad_codec);
   }
   return n;
 }
@@ -117,26 +117,22 @@ Tensor4D input_for(ModelKind kind, const nn::Batch& batch) {
   return flat;
 }
 
-sim::AlgorithmConfig sim_config(const Config& c) {
-  sim::AlgorithmConfig cfg;
-  switch (c.strategy) {
-    case core::DistStrategy::kDKfac:
-      cfg = sim::AlgorithmConfig::dkfac();
-      break;
-    case core::DistStrategy::kMpdKfac:
-      cfg = sim::AlgorithmConfig::mpd_kfac();
-      break;
-    case core::DistStrategy::kSpdKfac:
-      cfg = sim::AlgorithmConfig::spd_kfac();
-      cfg.factor_comm = c.factor_comm;
-      break;
-  }
-  cfg.grad_fusion_threshold = kGradThreshold;
-  cfg.collective_algo = c.algo;
-  cfg.factor_codec = c.factor_codec;
-  cfg.grad_codec = c.grad_codec;
-  cfg.topk_ratio = c.topk_ratio;
-  return cfg;
+/// The cell's full runtime options: planning with the calibration's cost
+/// models and pass timing — the exact inputs simulate_iteration hands the
+/// planner.
+core::DistKfacOptions runtime_options(const Cell& c,
+                                      const models::ModelSpec& spec,
+                                      const perf::ClusterCalibration& cal) {
+  core::DistKfacOptions opts = c.options;
+  opts.grad_fusion_threshold = kGradThreshold;
+  opts.lr = 0.1;
+  opts.damping = 0.1;
+  opts.allreduce_model = cal.allreduce;
+  opts.broadcast_model = cal.bcast_fabric;
+  opts.inverse_model = cal.inverse;
+  opts.profile_trajectory = {sched::timing_from_model(
+      spec, kBatch, cal.compute, /*second_order=*/true)};
+  return opts;
 }
 
 struct RuntimeCapture {
@@ -149,36 +145,18 @@ struct RuntimeCapture {
 /// with the model-derived planning profile; calls `inspect(optimizer)`
 /// after the step so the caller can capture its observable schedule.
 template <typename Inspect>
-void train_one_step(const Config& c, const models::ModelSpec& spec,
-                    const perf::ClusterCalibration& cal, bool hooked,
-                    comm::Communicator& comm, Inspect&& inspect) {
+void train_one_step(const core::DistKfacOptions& opts, ModelKind kind,
+                    bool hooked, comm::Communicator& comm,
+                    Inspect&& inspect) {
   Rng init(4242);
-  nn::Sequential model = model_for(c.model, init);
+  nn::Sequential model = model_for(kind, init);
   auto layers = model.preconditioned_layers();
-
-  core::DistKfacOptions opts;
-  opts.strategy = c.strategy;
-  opts.factor_comm = c.factor_comm;
-  opts.collective_algo = c.algo;
-  opts.factor_codec = c.factor_codec;
-  opts.grad_codec = c.grad_codec;
-  opts.topk_ratio = c.topk_ratio;
-  opts.grad_fusion_threshold = kGradThreshold;
-  opts.lr = 0.1;
-  opts.damping = 0.1;
-  // Plan with the calibration's cost models and pass timing — the exact
-  // inputs simulate_iteration hands the planner.
-  opts.allreduce_model = cal.allreduce;
-  opts.broadcast_model = cal.bcast_fabric;
-  opts.inverse_model = cal.inverse;
-  opts.profile_trajectory = {sched::timing_from_model(
-      spec, kBatch, cal.compute, /*second_order=*/true)};
   core::DistKfacOptimizer optimizer(layers, comm, opts);
 
   Rng shard(100 + comm.rank());
   nn::SoftmaxCrossEntropy loss;
-  const nn::Batch batch = sample_for(c.model, kBatch, shard);
-  const Tensor4D input = input_for(c.model, batch);
+  const nn::Batch batch = sample_for(kind, kBatch, shard);
+  const Tensor4D input = input_for(kind, batch);
   if (hooked) {
     const nn::PassHooks hooks = optimizer.pass_hooks();
     loss.forward(model.forward(input, hooks), batch.labels);
@@ -193,12 +171,11 @@ void train_one_step(const Config& c, const models::ModelSpec& spec,
 
 /// One step across `world` in-process ranks; returns rank 0's observable
 /// schedule.
-RuntimeCapture run_runtime(int world, const Config& c,
-                           const models::ModelSpec& spec,
-                           const perf::ClusterCalibration& cal, bool hooked) {
+RuntimeCapture run_runtime(int world, const core::DistKfacOptions& opts,
+                           ModelKind kind, bool hooked) {
   RuntimeCapture capture;
   comm::Cluster::launch(world, [&](comm::Communicator& comm) {
-    train_one_step(c, spec, cal, hooked, comm, [&](auto& optimizer) {
+    train_one_step(opts, kind, hooked, comm, [&](auto& optimizer) {
       if (comm.rank() == 0) {
         capture.records = optimizer.comm_records();
         capture.plan = optimizer.plan();
@@ -230,18 +207,19 @@ void expect_tasks_equal(const sched::Task& a, const sched::Task& b,
   EXPECT_EQ(a.label, b.label) << context;
 }
 
-void check_equivalence(int world, const Config& cell, bool hooked) {
-  const Config c = with_env_codecs(cell);
+void check_equivalence(int world, const Cell& cell, bool hooked) {
+  const Cell c = with_env_codecs(cell);
   const std::string context =
       config_name(c) + " P=" + std::to_string(world) +
       (hooked ? " hooked" : " post-hoc");
   const models::ModelSpec spec = spec_for(c.model);
   const auto cal =
       perf::ClusterCalibration::for_topology(comm::Topology::flat(world));
+  const core::DistKfacOptions opts = runtime_options(c, spec, cal);
 
-  const sim::IterationResult sim_res =
-      sim::simulate_iteration(spec, kBatch, cal, sim_config(c));
-  const RuntimeCapture runtime = run_runtime(world, c, spec, cal, hooked);
+  const sim::IterationResult sim_res = sim::simulate_iteration(
+      spec, kBatch, cal, sim::AlgorithmConfig(opts.schedule_options()));
+  const RuntimeCapture runtime = run_runtime(world, opts, c.model, hooked);
 
   // 1. The plans themselves are byte-identical, task by task.
   ASSERT_EQ(runtime.plan.tasks.size(), sim_res.plan.tasks.size()) << context;
@@ -295,10 +273,8 @@ class Equivalence : public ::testing::TestWithParam<int> {};
 TEST_P(Equivalence, BulkStrategiesMatchSimulator) {
   for (const core::DistStrategy strategy :
        {core::DistStrategy::kDKfac, core::DistStrategy::kMpdKfac}) {
-    check_equivalence(GetParam(),
-                      {strategy, sched::FactorCommMode::kBulk}, false);
-    check_equivalence(GetParam(),
-                      {strategy, sched::FactorCommMode::kBulk}, true);
+    check_equivalence(GetParam(), {{.strategy = strategy}}, false);
+    check_equivalence(GetParam(), {{.strategy = strategy}}, true);
   }
 }
 
@@ -308,10 +284,10 @@ TEST_P(Equivalence, SpdKfacMatchesSimulatorUnderEveryFactorCommMode) {
         sched::FactorCommMode::kLayerWise,
         sched::FactorCommMode::kThresholdFuse,
         sched::FactorCommMode::kOptimalFuse}) {
-    check_equivalence(GetParam(), {core::DistStrategy::kSpdKfac, mode},
-                      false);
-    check_equivalence(GetParam(), {core::DistStrategy::kSpdKfac, mode},
-                      true);
+    const Cell cell{
+        {.strategy = core::DistStrategy::kSpdKfac, .factor_comm = mode}};
+    check_equivalence(GetParam(), cell, false);
+    check_equivalence(GetParam(), cell, true);
   }
 }
 
@@ -321,33 +297,29 @@ TEST_P(Equivalence, ConvModelMatchesSimulator) {
   for (const sched::FactorCommMode mode :
        {sched::FactorCommMode::kLayerWise,
         sched::FactorCommMode::kOptimalFuse}) {
-    check_equivalence(GetParam(),
-                      {core::DistStrategy::kSpdKfac, mode,
-                       comm::AllReduceAlgo::kRing, ModelKind::kConv},
-                      false);
-    check_equivalence(GetParam(),
-                      {core::DistStrategy::kSpdKfac, mode,
-                       comm::AllReduceAlgo::kRing, ModelKind::kConv},
-                      true);
+    const Cell cell{
+        {.strategy = core::DistStrategy::kSpdKfac, .factor_comm = mode},
+        ModelKind::kConv};
+    check_equivalence(GetParam(), cell, false);
+    check_equivalence(GetParam(), cell, true);
   }
   check_equivalence(GetParam(),
-                    {core::DistStrategy::kMpdKfac,
-                     sched::FactorCommMode::kBulk,
-                     comm::AllReduceAlgo::kRing, ModelKind::kConv},
+                    {{.strategy = core::DistStrategy::kMpdKfac},
+                     ModelKind::kConv},
                     true);
 }
 
 TEST_P(Equivalence, AutoSelectedAlgorithmsMatchSimulator) {
   check_equivalence(GetParam(),
-                    {core::DistStrategy::kSpdKfac,
-                     sched::FactorCommMode::kOptimalFuse,
-                     comm::AllReduceAlgo::kAuto},
+                    {{.strategy = core::DistStrategy::kSpdKfac,
+                      .factor_comm = sched::FactorCommMode::kOptimalFuse,
+                      .collective_algo = comm::AllReduceAlgo::kAuto}},
                     true);
-  check_equivalence(GetParam(),
-                    {core::DistStrategy::kMpdKfac,
-                     sched::FactorCommMode::kBulk,
-                     comm::AllReduceAlgo::kHalvingDoubling},
-                    false);
+  check_equivalence(
+      GetParam(),
+      {{.strategy = core::DistStrategy::kMpdKfac,
+        .collective_algo = comm::AllReduceAlgo::kHalvingDoubling}},
+      false);
 }
 
 TEST_P(Equivalence, CompressedCollectivesMatchSimulator) {
@@ -355,18 +327,22 @@ TEST_P(Equivalence, CompressedCollectivesMatchSimulator) {
   // sizes, re-derived grouping/placement) must reach the runtime and the
   // simulator identically, and the runtime's compressed submissions must
   // still follow the canonical order record for record.
-  const Config cells[] = {
-      {core::DistStrategy::kSpdKfac, sched::FactorCommMode::kOptimalFuse,
-       comm::AllReduceAlgo::kRing, ModelKind::kMlp, comm::Codec::kInt8,
-       comm::Codec::kTopK},
-      {core::DistStrategy::kSpdKfac, sched::FactorCommMode::kOptimalFuse,
-       comm::AllReduceAlgo::kAuto, ModelKind::kConv, comm::Codec::kFp16,
-       comm::Codec::kFp16},
-      {core::DistStrategy::kMpdKfac, sched::FactorCommMode::kBulk,
-       comm::AllReduceAlgo::kRing, ModelKind::kMlp, comm::Codec::kAuto,
-       comm::Codec::kAuto},
+  const Cell cells[] = {
+      {{.strategy = core::DistStrategy::kSpdKfac,
+        .factor_comm = sched::FactorCommMode::kOptimalFuse,
+        .factor_codec = comm::Codec::kInt8,
+        .grad_codec = comm::Codec::kTopK}},
+      {{.strategy = core::DistStrategy::kSpdKfac,
+        .factor_comm = sched::FactorCommMode::kOptimalFuse,
+        .collective_algo = comm::AllReduceAlgo::kAuto,
+        .factor_codec = comm::Codec::kFp16,
+        .grad_codec = comm::Codec::kFp16},
+       ModelKind::kConv},
+      {{.strategy = core::DistStrategy::kMpdKfac,
+        .factor_codec = comm::Codec::kAuto,
+        .grad_codec = comm::Codec::kAuto}},
   };
-  for (const Config& c : cells) {
+  for (const Cell& c : cells) {
     check_equivalence(GetParam(), c, false);
     check_equivalence(GetParam(), c, true);
   }
@@ -394,26 +370,28 @@ INSTANTIATE_TEST_SUITE_P(WorldSizes, Equivalence,
 
 TEST(EquivalenceOverTheWire, SocketRuntimeMatchesSimulator) {
   SPDKFAC_SKIP_MULTIPROCESS_UNDER_TSAN(comm::TransportKind::kSocket);
-  const Config cells[] = {
-      {core::DistStrategy::kSpdKfac, sched::FactorCommMode::kOptimalFuse},
-      {core::DistStrategy::kMpdKfac, sched::FactorCommMode::kBulk},
+  const Cell cells[] = {
+      {{.strategy = core::DistStrategy::kSpdKfac,
+        .factor_comm = sched::FactorCommMode::kOptimalFuse}},
+      {{.strategy = core::DistStrategy::kMpdKfac}},
   };
   for (const int world : {2, 4}) {
-    for (const Config& cell : cells) {
-      const Config c = with_env_codecs(cell);
+    for (const Cell& cell : cells) {
+      const Cell c = with_env_codecs(cell);
       const std::string context =
           config_name(c) + " P=" + std::to_string(world) + " socket";
       const models::ModelSpec spec = spec_for(c.model);
       const auto cal =
           perf::ClusterCalibration::for_topology(comm::Topology::flat(world));
-      const sim::IterationResult sim_res =
-          sim::simulate_iteration(spec, kBatch, cal, sim_config(c));
+      const core::DistKfacOptions opts = runtime_options(c, spec, cal);
+      const sim::IterationResult sim_res = sim::simulate_iteration(
+          spec, kBatch, cal, sim::AlgorithmConfig(opts.schedule_options()));
 
       const auto results = comm::Cluster::launch_collect(
           comm::TransportKind::kSocket, comm::Topology::flat(world),
           [&](comm::Communicator& comm) {
             std::vector<double> out;
-            train_one_step(c, spec, cal, /*hooked=*/true, comm,
+            train_one_step(opts, c.model, /*hooked=*/true, comm,
                            [&](auto& optimizer) {
                              if (comm.rank() != 0) return;
                              const auto records = optimizer.comm_records();

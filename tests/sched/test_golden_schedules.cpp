@@ -54,35 +54,32 @@ std::vector<Zoo> zoo() {
 
 struct Strategy {
   const char* name;
-  FactorCommMode factor_comm;
-  InverseMode inverse;
+  DistStrategy strategy;  ///< planned with sched::preset(strategy)
   comm::Codec factor_codec = comm::Codec::kNone;
   comm::Codec grad_codec = comm::Codec::kNone;
 };
 
 constexpr Strategy kStrategies[] = {
-    {"dkfac", FactorCommMode::kBulk, InverseMode::kLocalAll},
-    {"mpdkfac", FactorCommMode::kBulk, InverseMode::kSeqDist},
-    {"spdkfac", FactorCommMode::kOptimalFuse, InverseMode::kLBP},
+    {"dkfac", DistStrategy::kDKfac},
+    {"mpdkfac", DistStrategy::kMpdKfac},
+    {"spdkfac", DistStrategy::kSpdKfac},
 };
 
 // Compressed variants of the full SPD-KFAC pipeline: the codecs shift the
 // m of Eq. (14), so these goldens pin down the *re-derived* fusion groups,
 // CT/NCT typing, algorithm choices and wire sizes — not just annotations.
 constexpr Strategy kCompressedStrategies[] = {
-    {"spdkfac_int8_topk", FactorCommMode::kOptimalFuse, InverseMode::kLBP,
-     comm::Codec::kInt8, comm::Codec::kTopK},
-    {"spdkfac_fp16", FactorCommMode::kOptimalFuse, InverseMode::kLBP,
-     comm::Codec::kFp16, comm::Codec::kFp16},
+    {"spdkfac_int8_topk", DistStrategy::kSpdKfac, comm::Codec::kInt8,
+     comm::Codec::kTopK},
+    {"spdkfac_fp16", DistStrategy::kSpdKfac, comm::Codec::kFp16,
+     comm::Codec::kFp16},
 };
 
 IterationPlan plan_for(const models::ModelSpec& spec,
                        const Strategy& strategy) {
   const auto cal =
       perf::ClusterCalibration::for_topology(comm::Topology::flat(kWorld));
-  ScheduleOptions opt;
-  opt.factor_comm = strategy.factor_comm;
-  opt.inverse = strategy.inverse;
+  ScheduleOptions opt = preset(strategy.strategy);
   opt.grad_fusion_threshold = kGradThreshold;
   opt.factor_codec = strategy.factor_codec;
   opt.grad_codec = strategy.grad_codec;

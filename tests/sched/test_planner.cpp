@@ -203,9 +203,10 @@ TEST(Planner, ZeroElementFactorFlowsThroughEveryMode) {
 
 TEST(Planner, SkippedFactorStepPlansNoFactorWork) {
   const ScheduleInputs in = mlp_inputs(4);
-  ScheduleOptions opt;
-  opt.factor_update = false;  // factor_update_freq > 1 off-step
-  const IterationPlan plan = plan_iteration(in, opt, flat_costs(4));
+  const ScheduleOptions opt;
+  // factor_update_freq > 1 off-step
+  const IterationPlan plan =
+      plan_iteration(in, opt, flat_costs(4), {.factor_update = false});
   EXPECT_TRUE(plan.a_compute.empty());
   EXPECT_TRUE(plan.g_compute.empty());
   EXPECT_TRUE(plan.a_comm.empty());
@@ -216,8 +217,9 @@ TEST(Planner, SkippedFactorStepPlansNoFactorWork) {
   ASSERT_FALSE(plan.inverse_tasks.empty());
   EXPECT_TRUE(plan.task(plan.inverse_tasks.front()).deps.empty());
 
-  opt.inverse_update = false;
-  const IterationPlan none = plan_iteration(in, opt, flat_costs(4));
+  const IterationPlan none = plan_iteration(
+      in, opt, flat_costs(4),
+      {.factor_update = false, .inverse_update = false});
   EXPECT_TRUE(none.inverse_tasks.empty());
   EXPECT_TRUE(none.broadcast_tasks.empty());
   EXPECT_TRUE(none.placement.assignments.empty());

@@ -47,6 +47,7 @@ constexpr std::uint64_t kSeed = 0x5bdf0c1ull;
 struct FuzzCase {
   ScheduleInputs inputs;
   ScheduleOptions options;
+  StepPhases phases;
   int world = 1;
 };
 
@@ -91,8 +92,8 @@ FuzzCase sample_case(std::mt19937_64& rng) {
 
   ScheduleOptions& opt = fc.options;
   opt.second_order = std::uniform_int_distribution<int>(0, 9)(rng) > 0;
-  opt.factor_update = std::uniform_int_distribution<int>(0, 3)(rng) > 0;
-  opt.inverse_update = std::uniform_int_distribution<int>(0, 3)(rng) > 0;
+  fc.phases.factor_update = std::uniform_int_distribution<int>(0, 3)(rng) > 0;
+  fc.phases.inverse_update = std::uniform_int_distribution<int>(0, 3)(rng) > 0;
   const FactorCommMode modes[] = {
       FactorCommMode::kBulk, FactorCommMode::kNaive,
       FactorCommMode::kLayerWise, FactorCommMode::kThresholdFuse,
@@ -309,7 +310,8 @@ TEST(PlannerFuzz, RandomPlansSatisfyEveryInvariant) {
         std::to_string(fc.world) + " " + to_string(fc.options.factor_comm) +
         "/" + to_string(fc.options.inverse) + ")";
     IterationPlan plan;
-    ASSERT_NO_THROW(plan = plan_iteration(fc.inputs, fc.options, costs))
+    ASSERT_NO_THROW(
+        plan = plan_iteration(fc.inputs, fc.options, costs, fc.phases))
         << ctx;
     check_invariants(plan, fc, ctx);
   }
@@ -323,8 +325,10 @@ TEST(PlannerFuzz, PlanningIsDeterministicAcrossRebuildsAndRanks) {
   for (int c = 0; c < 20; ++c) {
     const FuzzCase fc = sample_case(rng);
     const ScheduleCosts costs = costs_for(fc.world);
-    const IterationPlan first = plan_iteration(fc.inputs, fc.options, costs);
-    const IterationPlan second = plan_iteration(fc.inputs, fc.options, costs);
+    const IterationPlan first =
+        plan_iteration(fc.inputs, fc.options, costs, fc.phases);
+    const IterationPlan second =
+        plan_iteration(fc.inputs, fc.options, costs, fc.phases);
     EXPECT_EQ(plan_to_text(first), plan_to_text(second))
         << "case " << c << ": rebuild produced a different schedule";
   }
@@ -358,8 +362,9 @@ TEST(PlannerFuzz, PlanCacheRoundTripsAndEvicts) {
   for (int c = 0; c < 8; ++c) {
     const FuzzCase fc = sample_case(rng);
     const ScheduleCosts costs = costs_for(fc.world);
-    IterationPlan plan = plan_iteration(fc.inputs, fc.options, costs);
-    PlanCache::Key key{fc.options.factor_update, fc.options.inverse_update,
+    IterationPlan plan =
+        plan_iteration(fc.inputs, fc.options, costs, fc.phases);
+    PlanCache::Key key{fc.phases.factor_update, fc.phases.inverse_update,
                        fc.options.factor_comm,
                        ProfileSignature::of(fc.inputs.timing)};
     const std::string text = plan_to_text(plan);

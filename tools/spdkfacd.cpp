@@ -46,6 +46,17 @@ bool parse_value(const char* arg, const char* name, std::string& out) {
   return true;
 }
 
+/// Strict count (ctl::parse_count): "-1" or "3abc" is an error, not a
+/// wrapped or truncated number.
+std::size_t count_arg(const char* name, const std::string& value) {
+  const auto count = spdkfac::ctl::parse_count(value);
+  if (!count) {
+    throw std::invalid_argument(std::string(name) + " expects a count, got '" +
+                                value + "'");
+  }
+  return *count;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -59,7 +70,7 @@ int main(int argc, char** argv) {
       } else if (parse_value(argv[i], "--world", value)) {
         opts.world = std::stoi(value);
       } else if (parse_value(argv[i], "--steps", value)) {
-        opts.auto_steps = std::stoul(value);
+        opts.auto_steps = count_arg("--steps", value);
       } else if (std::strcmp(argv[i], "--oneshot") == 0) {
         opts.run_until_shutdown = false;
       } else if (std::strcmp(argv[i], "--posthoc") == 0) {
@@ -79,7 +90,7 @@ int main(int argc, char** argv) {
       } else if (parse_value(argv[i], "--damping", value)) {
         opts.optimizer.damping = std::stod(value);
       } else if (parse_value(argv[i], "--replan-interval", value)) {
-        opts.optimizer.replan_interval = std::stoul(value);
+        opts.optimizer.replan_interval = count_arg("--replan-interval", value);
       } else if (std::strcmp(argv[i], "--help") == 0 ||
                  std::strcmp(argv[i], "-h") == 0) {
         usage(argv[0]);
