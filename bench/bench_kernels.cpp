@@ -5,15 +5,20 @@
 // BENCH_kernels.json for cross-PR tracking; the headline acceptance number
 // is the factor+inverse speedup of the best level over scalar.
 //
-// All kernel timings are single-threaded (the ambient exec context is
-// serial here), so they measure the raw microkernel — the executor's
-// chunked parallelism multiplies on top and is benched elsewhere
-// (bench_overlap, bench_runtime).
+// Kernel timings are single-threaded (the ambient exec context is serial
+// here), so they measure the raw microkernel — the executor's chunked
+// parallelism multiplies on top and is benched elsewhere (bench_overlap,
+// bench_runtime).  Two rows time the exact shapes the runtime runs on
+// mlp-spd-shm's 256-wide layers: one row update of the SPD inverse's
+// triangular sweeps, and the preconditioned-update matmul on a 2-worker
+// pool (the runtime's default pool size).
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/random.hpp"
@@ -101,9 +106,41 @@ KernelSample bench_ema(const kernels::KernelTable& kt, std::size_t n) {
   return s;
 }
 
+KernelSample bench_gemm_row(const kernels::KernelTable& kt, std::size_t d) {
+  // One row update of spd_inverse's triangular sweeps at full depth:
+  // rows = 1, K = N = d, on gemm_nn's single-row tiles.
+  tensor::Rng rng(8);
+  const auto a = random_vec(d, rng);
+  const auto b = random_vec(d * d, rng);
+  auto c = random_vec(d, rng);
+  KernelSample s;
+  s.flops = 2.0 * static_cast<double>(d) * d;
+  s.seconds = time_call(
+      [&] { kt.gemm_nn(1, d, d, a.data(), d, b.data(), d, c.data(), d); });
+  return s;
+}
+
+KernelSample bench_update_matmul() {
+  // The preconditioned update of a 256-wide layer with bias: a 256x257
+  // gradient times a 257x257 inverse factor through tensor::matmul, whose
+  // row chunks split across a 2-worker pool.  matmul reads the *active*
+  // table — force() selects it.
+  tensor::Rng rng(9);
+  const tensor::Matrix g = tensor::random_normal(256, 257, rng);
+  const tensor::Matrix inv = tensor::random_normal(257, 257, rng);
+  exec::ThreadPool pool(2);
+  exec::Context ctx(&pool);
+  KernelSample s;
+  s.flops = 2.0 * 256.0 * 257.0 * 257.0;
+  tensor::Matrix out;
+  s.seconds = time_call([&] { out = tensor::matmul(g, inv); });
+  return s;
+}
+
 KernelSample bench_spd_inverse(std::size_t d) {
-  // Routed through linalg (Cholesky + two triangular solve sweeps), which
-  // pulls its dot products from the *active* table — force() selects it.
+  // Routed through linalg — Cholesky column updates on gemm_nt rows, then
+  // two triangular sweeps of 1-row gemm_nn updates — which pulls its
+  // kernels from the *active* table; force() selects it.
   tensor::Rng rng(5);
   const tensor::Matrix a = tensor::random_spd(d, rng);
   KernelSample s;
@@ -177,7 +214,7 @@ int main() {
 
   const std::size_t sizes[] = {64, 128, 256};
   bench::BenchJson json("kernels");
-  bench::Table table({"Kernel", "d", "ISA", "GFLOP/s", "us/call"});
+  bench::Table table({"Kernel", "Size", "ISA", "GFLOP/s", "us/call"});
 
   // factor+inverse seconds per (size, level) for the headline speedup.
   std::vector<std::vector<double>> hot_path(levels.size());
@@ -212,16 +249,29 @@ int main() {
                              entries[2].sample.seconds);
     }
 
-    const KernelSample dot = bench_dot(kt, 16384);
-    const KernelSample ema = bench_ema(kt, 128 * 128);
-    table.add_row({"dot", "16384", isa, bench::fmt("%.2f", dot.gflops()),
-                   bench::fmt("%.1f", dot.seconds * 1e6)});
-    table.add_row({"ema", "16384", isa, bench::fmt("%.2f", ema.gflops()),
-                   bench::fmt("%.1f", ema.seconds * 1e6)});
-    json.add(std::string("dot/n=16384/") + isa,
-             {{"gflops", dot.gflops()}, {"seconds_per_call", dot.seconds}});
-    json.add(std::string("ema/n=16384/") + isa,
-             {{"gflops", ema.gflops()}, {"seconds_per_call", ema.seconds}});
+    struct ShapeEntry {
+      const char* name;
+      const char* shape;
+      KernelSample sample;
+    };
+    const ShapeEntry shaped[] = {
+        {"gemm_nn_row", "1x257x257", bench_gemm_row(kt, 257)},
+        {"matmul_update_pool2", "256x257x257", bench_update_matmul()},
+        {"dot", "n=16384", bench_dot(kt, 16384)},
+        {"ema", "n=16384", bench_ema(kt, 128 * 128)},
+    };
+    for (const ShapeEntry& e : shaped) {
+      table.add_row({e.name, e.shape, isa,
+                     bench::fmt("%.2f", e.sample.gflops()),
+                     bench::fmt("%.1f", e.sample.seconds * 1e6)});
+      std::string key = e.name;
+      key += "/";
+      key += e.shape;
+      key += "/";
+      key += isa;
+      json.add(key, {{"gflops", e.sample.gflops()},
+                     {"seconds_per_call", e.sample.seconds}});
+    }
   }
   kernels::force(kernels::best_supported());
   table.print();

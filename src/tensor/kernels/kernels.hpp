@@ -1,17 +1,18 @@
 // Runtime-dispatched CPU microkernels for the factor/inverse hot path.
 //
 // Everything numeric the distributed optimizer spends its time in — the
-// GEMM variants behind factor construction and preconditioning, the
-// Cholesky/triangular-solve inner products of the SPD inverse, symmetric
-// pack/unpack, the EMA fold, and the collectives' elementwise reduce
-// loops — funnels through the function-pointer table returned by
+// GEMM variants behind factor construction, preconditioning and both
+// halves of the SPD inverse (Cholesky column updates, triangular sweeps),
+// symmetric pack/unpack, the EMA fold, and the collectives' elementwise
+// reduce loops — funnels through the function-pointer table returned by
 // active().  Two implementations exist:
 //
 //   kScalar — portable C++ loops, the cross-platform numeric reference;
 //   kAvx2   — cache-blocked AVX2/FMA double-precision microkernels
-//             (4x8 register tiles for the GEMMs, 4-lane FMA dot products,
-//             4x4 in-register transposes), compiled only on x86-64 and
-//             selected only when CPUID reports AVX2+FMA.
+//             (4x8 and wide single-row register tiles for the GEMMs,
+//             4-lane FMA dot products, 4x4 in-register transposes),
+//             compiled only on x86-64 and selected only when CPUID
+//             reports AVX2+FMA.
 //
 // Dispatch is resolved once, at first use: the SPDKFAC_ISA environment
 // variable ("scalar" or "avx2") overrides CPUID detection — requesting
@@ -84,12 +85,14 @@ struct KernelTable {
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc);
 
-  /// C[0..rows)x[0..M) += A * B^T: c(i,j) += dot(a_i, b_j) over K.
+  /// C[0..rows)x[0..M) += A * B^T: c(i,j) += dot(a_i, b_j) over K, each
+  /// dot following dot()'s recipe exactly.  With rows == 1 this is the
+  /// Cholesky column update: one L row against a block of L rows.
   void (*gemm_nt)(std::size_t rows, std::size_t K, std::size_t M,
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc);
 
-  /// sum_k x[k] * y[k] — the Cholesky column update reduces to this.
+  /// sum_k x[k] * y[k] — the Cholesky diagonal and forward substitution.
   double (*dot)(const double* x, const double* y, std::size_t n);
 
   // Elementwise reduce loops shared with comm::detail::accumulate/finalize
@@ -97,11 +100,6 @@ struct KernelTable {
   void (*add)(double* dst, const double* src, std::size_t n);
   void (*max)(double* dst, const double* src, std::size_t n);
   void (*scale)(double* dst, std::size_t n, double s);
-
-  /// dst[i] += alpha * src[i] — the row update of the multi-RHS triangular
-  /// solves behind spd_inverse.  Vector levels contract into FMA (like
-  /// ema): bitwise-stable within a level, close across levels.
-  void (*axpy)(double* dst, const double* src, std::size_t n, double alpha);
 
   /// state = decay*state + (1-decay)*fresh, elementwise (the factor EMA).
   void (*ema)(double* state, const double* fresh, std::size_t n,

@@ -8,14 +8,18 @@
 // other architectures.
 //
 // Register-tiling scheme:
-//   * gemm_nn / gemm_tn: 4x8 micro-tiles (8 YMM accumulators) with the
-//     k loop innermost and unblocked per tile, so every C element
-//     accumulates strictly k ascending — bitwise independent of the
-//     caller's row chunking, as the determinism suite requires.
+//   * gemm_nn / gemm_tn: 4x8 micro-tiles (8 YMM accumulators) over groups
+//     of four rows; leftover rows (and 1-row calls such as the SPD
+//     inverse's triangular sweeps) run 1x32, 1x16 and 1x8 tiles with 8, 4
+//     and 2 independent accumulators.  The k loop is innermost and
+//     unblocked per tile, so every C element is the same fmadd chain,
+//     strictly k ascending, in every tile shape — bitwise independent of
+//     the caller's row chunking, as the determinism suite requires.
 //   * gemm_nt: 1x4 tiles of FMA dot products sharing the A-row loads,
 //     each reduced with the same fixed-tree horizontal sum as dot().
-//   * symmetrize / transpose / unpack mirror: 4x4 in-register transposes
-//     (unpacklo/hi + 128-bit permutes) over 32x32 cache blocks.
+//   * symmetrize / unpack mirror: 4x4 in-register transposes
+//     (unpacklo/hi + 128-bit permutes) over 32x32 cache blocks; transpose
+//     stages each 32x32 block in a contiguous tile.
 //
 // Elementwise kernels (add/max/scale) round identically to scalar ops, so
 // they are bitwise equal to the scalar table; the FMA-contracted kernels
@@ -130,18 +134,43 @@ inline void tile_4x8(std::size_t K, LoadA4 load_a4, const double* b,
   _mm256_storeu_pd(c3 + 4, acc31);
 }
 
-/// 1x8 row tile for the < 4 leftover rows.
-inline void tile_1x8(std::size_t K, const double* ai, std::size_t stride_a,
+/// 1x(4V) single-row tile: V independent 4-lane FMA chains across the row,
+/// full K sweep in registers.  Each element's chain is the same fmadd per
+/// k ascending as in tile_4x8, so the tile width never changes a bit; the
+/// wider tiles only hide FMA latency behind more accumulators.
+template <std::size_t V>
+inline void tile_1xv(std::size_t K, const double* ai, std::size_t stride_a,
                      const double* b, std::size_t ldb, double* ci) {
-  __m256d acc0 = _mm256_loadu_pd(ci);
-  __m256d acc1 = _mm256_loadu_pd(ci + 4);
+  __m256d acc[V];
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(ci + 4 * v);
   for (std::size_t k = 0; k < K; ++k) {
     const __m256d va = _mm256_set1_pd(ai[k * stride_a]);
-    acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b + k * ldb), acc0);
-    acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b + k * ldb + 4), acc1);
+    const double* bk = b + k * ldb;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[v] = _mm256_fmadd_pd(va, _mm256_loadu_pd(bk + 4 * v), acc[v]);
+    }
   }
-  _mm256_storeu_pd(ci, acc0);
-  _mm256_storeu_pd(ci + 4, acc1);
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < V; ++v) _mm256_storeu_pd(ci + 4 * v, acc[v]);
+}
+
+/// One C row over columns [0, N8): 1x32 tiles, then at most one 1x16 and
+/// one 1x8.  `ai` walks A's row with stride `stride_a` (1 for N-N, lda for
+/// T-N).
+inline void row_tiles(std::size_t K, const double* ai, std::size_t stride_a,
+                      const double* b, std::size_t ldb, double* ci,
+                      std::size_t N8) {
+  std::size_t j = 0;
+  for (; j + 32 <= N8; j += 32) {
+    tile_1xv<8>(K, ai, stride_a, b + j, ldb, ci + j);
+  }
+  if (j + 16 <= N8) {
+    tile_1xv<4>(K, ai, stride_a, b + j, ldb, ci + j);
+    j += 16;
+  }
+  if (j < N8) tile_1xv<2>(K, ai, stride_a, b + j, ldb, ci + j);
 }
 
 void gemm_nn_avx2(std::size_t rows, std::size_t K, std::size_t N,
@@ -165,9 +194,7 @@ void gemm_nn_avx2(std::size_t rows, std::size_t K, std::size_t N,
     }
   }
   for (; i < rows; ++i) {
-    for (std::size_t j = 0; j < N8; j += 8) {
-      tile_1x8(K, a + i * lda, 1, b + j, ldb, c + i * ldc + j);
-    }
+    row_tiles(K, a + i * lda, 1, b, ldb, c + i * ldc, N8);
   }
   if (N8 < N) {
     gemm_tail_cols(
@@ -194,11 +221,7 @@ void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
           c + (i + 2) * ldc + j, c + (i + 3) * ldc + j);
     }
   }
-  for (; i < rows; ++i) {
-    for (std::size_t j = 0; j < N8; j += 8) {
-      tile_1x8(K, a + i, lda, b + j, ldb, c + i * ldc + j);
-    }
-  }
+  for (; i < rows; ++i) row_tiles(K, a + i, lda, b, ldb, c + i * ldc, N8);
   if (N8 < N) {
     gemm_tail_cols(
         rows, K, N8, N,
@@ -284,20 +307,6 @@ void scale_avx2(double* dst, std::size_t n, double s) {
     _mm256_storeu_pd(dst + i, _mm256_mul_pd(_mm256_loadu_pd(dst + i), vs));
   }
   for (; i < n; ++i) dst[i] *= s;
-}
-
-void axpy_avx2(double* dst, const double* src, std::size_t n, double alpha) {
-  // Same FMA shape in the body and the tail (std::fma compiles to vfmadd
-  // here), so an element's bits do not depend on its lane position — the
-  // within-level chunk-invariance the triangular solves rely on.
-  const __m256d va = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i,
-                     _mm256_fmadd_pd(va, _mm256_loadu_pd(src + i),
-                                     _mm256_loadu_pd(dst + i)));
-  }
-  for (; i < n; ++i) dst[i] = std::fma(alpha, src[i], dst[i]);
 }
 
 // ---------------------------------------------------------------------------
@@ -455,34 +464,45 @@ void symmetrize_rows_avx2(double* a, std::size_t n, std::size_t lda,
 
 void transpose_avx2(const double* in, std::size_t rows, std::size_t cols,
                     std::size_t ldi, double* out, std::size_t ldo) {
+  // Each full 32x32 block goes through a contiguous staging tile: 4x4
+  // register transposes fill it, then every tile row leaves as one
+  // contiguous 256-byte run.  Storing the 4x4 results straight to `out`
+  // instead scatters 32 half-line writes over rows at the output stride;
+  // at a power-of-two stride (2 KiB at d=256) those rows all map to the
+  // same few L1 sets and thrash.  Edge blocks take the element loop.
   constexpr std::size_t kBlock = 32;
+  alignas(32) double tile[kBlock * kBlock];
   for (std::size_t rb = 0; rb < rows; rb += kBlock) {
     const std::size_t re = std::min(rows, rb + kBlock);
     for (std::size_t cb = 0; cb < cols; cb += kBlock) {
       const std::size_t ce = std::min(cols, cb + kBlock);
-      std::size_t r = rb;
-      for (; r + 4 <= re; r += 4) {
-        std::size_t c = cb;
-        for (; c + 4 <= ce; c += 4) {
-          __m256d t0 = _mm256_loadu_pd(in + r * ldi + c);
-          __m256d t1 = _mm256_loadu_pd(in + (r + 1) * ldi + c);
-          __m256d t2 = _mm256_loadu_pd(in + (r + 2) * ldi + c);
-          __m256d t3 = _mm256_loadu_pd(in + (r + 3) * ldi + c);
-          transpose4x4(t0, t1, t2, t3);
-          _mm256_storeu_pd(out + c * ldo + r, t0);
-          _mm256_storeu_pd(out + (c + 1) * ldo + r, t1);
-          _mm256_storeu_pd(out + (c + 2) * ldo + r, t2);
-          _mm256_storeu_pd(out + (c + 3) * ldo + r, t3);
+      if (re - rb < kBlock || ce - cb < kBlock) {
+        for (std::size_t r = rb; r < re; ++r) {
+          const double* irow = in + r * ldi;
+          for (std::size_t c = cb; c < ce; ++c) out[c * ldo + r] = irow[c];
         }
-        for (; c < ce; ++c) {
-          for (std::size_t rr = r; rr < r + 4; ++rr) {
-            out[c * ldo + rr] = in[rr * ldi + c];
-          }
+        continue;
+      }
+      for (std::size_t r = 0; r < kBlock; r += 4) {
+        const double* src = in + (rb + r) * ldi + cb;
+        for (std::size_t c = 0; c < kBlock; c += 4) {
+          __m256d t0 = _mm256_loadu_pd(src + c);
+          __m256d t1 = _mm256_loadu_pd(src + ldi + c);
+          __m256d t2 = _mm256_loadu_pd(src + 2 * ldi + c);
+          __m256d t3 = _mm256_loadu_pd(src + 3 * ldi + c);
+          transpose4x4(t0, t1, t2, t3);
+          double* t = tile + c * kBlock + r;
+          _mm256_store_pd(t, t0);
+          _mm256_store_pd(t + kBlock, t1);
+          _mm256_store_pd(t + 2 * kBlock, t2);
+          _mm256_store_pd(t + 3 * kBlock, t3);
         }
       }
-      for (; r < re; ++r) {
-        const double* irow = in + r * ldi;
-        for (std::size_t c = cb; c < ce; ++c) out[c * ldo + r] = irow[c];
+      for (std::size_t c = 0; c < kBlock; ++c) {
+        double* dst = out + (cb + c) * ldo + rb;
+        for (std::size_t v = 0; v < kBlock; v += 4) {
+          _mm256_storeu_pd(dst + v, _mm256_load_pd(tile + c * kBlock + v));
+        }
       }
     }
   }
@@ -562,8 +582,7 @@ const KernelTable& avx2_table() noexcept {
       gemm_tn_avx2,      gemm_nt_avx2,
       dot_avx2,          add_avx2,
       max_avx2,          scale_avx2,
-      axpy_avx2,         ema_avx2,
-      ema_unpack_avx2,
+      ema_avx2,          ema_unpack_avx2,
       scalar_table().pack_upper,  // memcpy row runs — already optimal
       unpack_upper_avx2, symmetrize_rows_avx2,
       transpose_avx2,

@@ -81,11 +81,6 @@ void scale_scalar(double* dst, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) dst[i] *= s;
 }
 
-void axpy_scalar(double* dst, const double* src, std::size_t n,
-                 double alpha) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
-}
-
 void ema_scalar(double* state, const double* fresh, std::size_t n,
                 double decay) {
   const double blend = 1.0 - decay;
@@ -158,21 +153,24 @@ void symmetrize_rows_scalar(double* a, std::size_t n, std::size_t lda,
 
 void transpose_scalar(const double* in, std::size_t rows, std::size_t cols,
                       std::size_t ldi, double* out, std::size_t ldo) {
-  // Cache-blocked: a 32x32 double tile is 8 KiB per operand, so both the
-  // row-streamed source and the column-strided destination stay resident
-  // while the tile is swapped.
-  constexpr std::size_t kBlock = 32;
-  for (std::size_t rb = 0; rb < rows; rb += kBlock) {
-    const std::size_t re = std::min(rows, rb + kBlock);
-    for (std::size_t cb = 0; cb < cols; cb += kBlock) {
-      const std::size_t ce = std::min(cols, cb + kBlock);
-      for (std::size_t r = rb; r < re; ++r) {
-        const double* irow = in + r * ldi;
-        for (std::size_t c = cb; c < ce; ++c) {
-          out[c * ldo + r] = irow[c];
-        }
-      }
+  // 16-row strips: per input column, one output row receives 16
+  // consecutive doubles (two whole cache lines) gathered from 16 input rows
+  // that stay L1-resident across the strip.  A square-blocked walk instead
+  // writes a column of the block per input row, scattered over output rows
+  // at the output stride; at a power-of-two stride (2 KiB at d=256) those
+  // rows all map to the same few L1 sets and thrash.
+  constexpr std::size_t kStrip = 16;
+  std::size_t r0 = 0;
+  for (; r0 + kStrip <= rows; r0 += kStrip) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double* src = in + r0 * ldi + c;
+      double* dst = out + c * ldo + r0;
+      for (std::size_t r = 0; r < kStrip; ++r) dst[r] = src[r * ldi];
     }
+  }
+  for (; r0 < rows; ++r0) {
+    const double* irow = in + r0 * ldi;
+    for (std::size_t c = 0; c < cols; ++c) out[c * ldo + r0] = irow[c];
   }
 }
 
@@ -283,8 +281,8 @@ const KernelTable& scalar_table() noexcept {
   static const KernelTable t{
       Isa::kScalar,       gemm_nn_scalar,     gemm_tn_scalar,
       gemm_nt_scalar,     dot_scalar,         add_scalar,
-      max_scalar,         scale_scalar,       axpy_scalar,
-      ema_scalar,         ema_unpack_scalar,  pack_upper_scalar,
+      max_scalar,         scale_scalar,       ema_scalar,
+      ema_unpack_scalar,  pack_upper_scalar,
       unpack_upper_scalar, symmetrize_rows_scalar, transpose_scalar,
       absmax_scalar,      int8_quantize_scalar, int8_dequantize_scalar,
       fp16_pack_scalar,   fp16_unpack_scalar};

@@ -74,23 +74,32 @@ std::optional<Cholesky> cholesky(const Matrix& a) {
     throw std::invalid_argument("cholesky requires a square matrix");
   }
   const std::size_t n = a.rows();
+  const auto& kt = kernels::active_table();
   Matrix l(n, n);
+  std::vector<double> scratch(n);  // chunk [s0, s1) owns [s0, s1)
   for (std::size_t j = 0; j < n; ++j) {
     const double* lj = l.row_ptr(j);
-    const double diag =
-        a(j, j) - kernels::active_table().dot(lj, lj, j);
+    const double diag = a(j, j) - kt.dot(lj, lj, j);
     if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
     const double ljj = std::sqrt(diag);
     l(j, j) = ljj;
     // The column update below the diagonal is embarrassingly parallel: each
-    // l(i, j) reads only finished rows; the inner product runs on the
-    // active ISA's dot microkernel over the two contiguous row prefixes.
-    const auto& kt = kernels::active_table();
+    // l(i, j) reads only finished rows.  A chunk computes its inner
+    // products dot(l_j, l_i) over the finished prefix [0, j) as one gemm_nt
+    // row against its block of rows, whose 1x4 tiles share each l_j load
+    // across four rows and follow dot()'s recipe exactly; the products
+    // commute, so this is dot(l_i, l_j) bit for bit.  The -0.0 prefill
+    // makes the kernel's c += s exact (-0.0 + s == s for every s).  The
+    // chunk is floored at 4 rows so every chunk reaches a full tile.
     exec::parallel_for(
-        n - j - 1, items_per_chunk(j + 1),
+        n - j - 1, std::max<std::size_t>(items_per_chunk(j + 1), 4),
         [&, j, ljj](std::size_t s0, std::size_t s1) {
-          for (std::size_t i = j + 1 + s0; i < j + 1 + s1; ++i) {
-            l(i, j) = (a(i, j) - kt.dot(l.row_ptr(i), lj, j)) / ljj;
+          double* s = scratch.data() + s0;
+          std::fill(s, s + (s1 - s0), -0.0);
+          kt.gemm_nt(1, j, s1 - s0, lj, n, l.row_ptr(j + 1 + s0), n, s, 1);
+          for (std::size_t t = 0; t < s1 - s0; ++t) {
+            const std::size_t i = j + 1 + s0 + t;
+            l(i, j) = (a(i, j) - s[t]) / ljj;
           }
         });
   }
@@ -105,24 +114,26 @@ Matrix spd_inverse(const Matrix& a) {
   const std::size_t n = a.rows();
   // Invert by solving A X = I with two *multi-RHS* triangular sweeps: each
   // chunk owns a range of identity columns and sweeps the rows of L (then
-  // of U = L^T) once, updating its whole column block with contiguous
-  // axpy/scale microkernels — the same O(n^3) flops as per-column solves,
-  // but unit-stride FMA across the block width instead of the short
-  // sequential dot products that used to dominate.
+  // of U = L^T) once, updating its whole column block per row with one
+  // 1-row gemm_nn — the same O(n^3) flops as per-column solves, but
+  // unit-stride FMA across the block width on gemm_nn's wide single-row
+  // tiles instead of short sequential dot products.
   //
   // Determinism: an output element (i, j) accumulates its k terms in
   // ascending order no matter how columns are chunked or blocked — the
   // forward sweep's update widths reach column j only for k >= j, the k
-  // loops run ascending, and axpy/scale round per element independent of
-  // lane position — so results stay bitwise identical across pool sizes
-  // (within an ISA level), as the determinism suite requires.
+  // loops run ascending, and gemm_nn/scale round per element independent
+  // of tile or lane position — so results stay bitwise identical across
+  // pool sizes (within an ISA level), as the determinism suite requires.
+  // The back sweep cannot be register-blocked over rows without breaking
+  // this: a row's in-block terms come *first* in its ascending k order.
   const Matrix upper = chol->lower.transposed();
   const auto& kt = kernels::active_table();
   Matrix inv(n, n);
   for (std::size_t j = 0; j < n; ++j) inv(j, j) = 1.0;
   // Column blocks of kBlock keep a sweep's working set (n rows x block
   // width) L2-resident while amortizing kernel-call overhead over
-  // full-width axpy runs.  The chunk grain is floored at kBlock: narrower
+  // full-width row updates.  The chunk grain is floored at kBlock: narrower
   // chunks would degrade the sweeps to short-vector updates, and the
   // per-element accumulation order is block-width-invariant anyway.
   constexpr std::size_t kBlock = 64;
@@ -133,7 +144,7 @@ Matrix spd_inverse(const Matrix& a) {
         // coefficient vector: the destination row rides in registers
         // across the whole k sweep instead of being re-loaded per k, and
         // gemm_nn's k-ascending per-element order makes the bits equal to
-        // an axpy-per-k formulation (negation is exact).  Updates past a
+        // a row-update-per-k formulation (negation is exact).  Updates past a
         // row's triangular frontier multiply exact zeros of Y, which
         // leaves every element's bits untouched.
         std::vector<double> neg(n);

@@ -14,13 +14,15 @@ namespace spdkfac::tensor {
 
 namespace {
 
-/// Output rows per parallel_for chunk (see exec/grain.hpp).  Chunking
-/// depends only on the shape (never on the pool size), which keeps every
-/// kernel bitwise-deterministic across pool sizes — each output element is
-/// produced by exactly one chunk, and the microkernels' per-element
-/// accumulation order is independent of the chunk boundaries.
+/// Output rows per parallel_for chunk (see exec/grain.hpp), rounded up to
+/// whole 4-row register tiles: a 1-row chunk would run every row on the
+/// microkernels' single-row path and never reach their 4x8 tiles.
+/// Chunking depends only on the shape (never on the pool size), which
+/// keeps every kernel bitwise-deterministic across pool sizes — each
+/// output element is produced by exactly one chunk, and the microkernels'
+/// per-element accumulation order is independent of the chunk boundaries.
 std::size_t rows_per_chunk(std::size_t ops_per_row) noexcept {
-  return exec::grain_for_ops(ops_per_row);
+  return (exec::grain_for_ops(ops_per_row) + 3) & ~std::size_t{3};
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tensor/random.hpp"
@@ -193,6 +194,35 @@ TEST_P(KernelLevel, GemmsAreRowChunkInvariant) {
   kt().gemm_tn(rows - 9, K, N, a.data() + 9, rows, b.data(), N,
                parts.data() + 9 * N, N);
   expect_bitwise_eq(parts, whole, "gemm_tn split");
+
+  // Row by row against the whole call, over widths that exercise every
+  // single-row tile (1x32, 1x16, 1x8 and the column tail) next to the
+  // 4x8 tiles: each element must come out of every tile shape alike.
+  for (std::size_t n : {8, 16, 24, 32, 40, 48, 257}) {
+    for (std::size_t r = 1; r <= 5; ++r) {
+      const auto ar = random_vec(r * K, rng);
+      const auto br = random_vec(K * n, rng);
+      const auto cr = random_vec(r * n, rng);
+      auto nn_whole = cr;
+      kt().gemm_nn(r, K, n, ar.data(), K, br.data(), n, nn_whole.data(), n);
+      auto tn_whole = cr;
+      kt().gemm_tn(r, K, n, ar.data(), r, br.data(), n, tn_whole.data(), n);
+      auto nn_rows = cr;
+      auto tn_rows = cr;
+      for (std::size_t i = 0; i < r; ++i) {
+        kt().gemm_nn(1, K, n, ar.data() + i * K, K, br.data(), n,
+                     nn_rows.data() + i * n, n);
+        kt().gemm_tn(1, K, n, ar.data() + i, r, br.data(), n,
+                     tn_rows.data() + i * n, n);
+      }
+      std::string what = " N=";
+      what += std::to_string(n);
+      what += " rows=";
+      what += std::to_string(r);
+      expect_bitwise_eq(nn_rows, nn_whole, ("gemm_nn" + what).c_str());
+      expect_bitwise_eq(tn_rows, tn_whole, ("gemm_tn" + what).c_str());
+    }
+  }
 }
 
 TEST_P(KernelLevel, DotMatchesReferenceAndRepeatsBitwise) {
@@ -208,39 +238,6 @@ TEST_P(KernelLevel, DotMatchesReferenceAndRepeatsBitwise) {
     const double again = kt().dot(x.data(), y.data(), n);
     EXPECT_EQ(std::memcmp(&got, &again, sizeof(double)), 0)
         << "dot not deterministic, n=" << n;
-  }
-}
-
-// axpy drives the multi-RHS triangular solves of spd_inverse; like ema it
-// may contract into FMA per level, but an element's bits must not depend
-// on where a caller splits the range (chunk/block invariance).
-TEST_P(KernelLevel, AxpyCloseToReferenceAndSplitInvariant) {
-  Rng rng(110);
-  const double alpha = -0.731;
-  for (std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{7},
-                        std::size_t{32}, std::size_t{261}}) {
-    const auto src = random_vec(n, rng);
-    const auto dst0 = random_vec(n, rng);
-
-    auto got = dst0;
-    kt().axpy(got.data(), src.data(), n, alpha);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double want = dst0[i] + alpha * src[i];
-      EXPECT_NEAR(got[i], want, 1e-14 * (1.0 + std::abs(want)))
-          << "axpy n=" << n << " i=" << i;
-    }
-
-    auto again = dst0;
-    kt().axpy(again.data(), src.data(), n, alpha);
-    expect_bitwise_eq(again, got, "axpy repeat");
-
-    // Splitting the range anywhere must not change any element's bits.
-    for (std::size_t cut : {n / 3, n / 2, n - 1}) {
-      auto parts = dst0;
-      kt().axpy(parts.data(), src.data(), cut, alpha);
-      kt().axpy(parts.data() + cut, src.data() + cut, n - cut, alpha);
-      expect_bitwise_eq(parts, got, "axpy split");
-    }
   }
 }
 

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/random.hpp"
 
 namespace spdkfac::tensor {
@@ -82,6 +91,106 @@ TEST(SpdInverse, ResultIsExactlySymmetric) {
       EXPECT_EQ(inv(i, j), inv(j, i));
     }
   }
+}
+
+// Bitwise reference for cholesky() and spd_inverse(): the per-column
+// formulation, serial — one dot() per l(i, j), then forward and back sweeps
+// of 1-row gemm_nn updates over 64-column blocks.  The library regroups
+// this work onto register tiles (a gemm_nt row per Cholesky column chunk,
+// wide single-row GEMM tiles for the sweeps) and must keep every bit.
+Matrix reference_cholesky(const Matrix& a,
+                          const kernels::KernelTable& kt) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* lj = l.row_ptr(j);
+    const double ljj = std::sqrt(a(j, j) - kt.dot(lj, lj, j));
+    l(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      l(i, j) = (a(i, j) - kt.dot(l.row_ptr(i), lj, j)) / ljj;
+    }
+  }
+  return l;
+}
+
+Matrix reference_spd_inverse(const Matrix& lower,
+                             const kernels::KernelTable& kt) {
+  const std::size_t n = lower.rows();
+  const Matrix upper = lower.transposed();
+  Matrix inv = Matrix::identity(n);
+  std::vector<double> neg(n);
+  for (std::size_t b0 = 0; b0 < n; b0 += 64) {
+    const std::size_t w = std::min(n, b0 + 64) - b0;
+    for (std::size_t i = b0; i < n; ++i) {
+      const double* li = lower.row_ptr(i);
+      double* yi = inv.row_ptr(i) + b0;
+      for (std::size_t k = 0; k < i - b0; ++k) neg[k] = -li[b0 + k];
+      kt.gemm_nn(1, i - b0, w, neg.data(), n, inv.row_ptr(b0) + b0, n, yi,
+                 n);
+      kt.scale(yi, w, 1.0 / li[i]);
+    }
+    for (std::size_t i = n; i-- > 0;) {
+      const double* ui = upper.row_ptr(i);
+      double* xi = inv.row_ptr(i) + b0;
+      for (std::size_t k = 0; k + i + 1 < n; ++k) neg[k] = -ui[i + 1 + k];
+      kt.gemm_nn(1, n - i - 1, w, neg.data(), n, inv.row_ptr(i + 1) + b0, n,
+                 xi, n);
+      kt.scale(xi, w, 1.0 / ui[i]);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double avg = 0.5 * (inv(i, j) + inv(j, i));
+      inv(i, j) = avg;
+      inv(j, i) = avg;
+    }
+  }
+  return inv;
+}
+
+bool bitwise_equal(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.data().size() * sizeof(double)) == 0;
+}
+
+TEST(SpdInverse, BitwiseMatchesPerColumnReference) {
+  std::vector<kernels::Isa> levels{kernels::Isa::kScalar};
+  if (kernels::supported(kernels::Isa::kAvx2)) {
+    levels.push_back(kernels::Isa::kAvx2);
+  }
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 9; ++n) sizes.push_back(n);
+  for (std::size_t c : {32, 64, 256}) {
+    for (std::size_t n = c - 1; n <= c + 1; ++n) sizes.push_back(n);
+  }
+  sizes.push_back(300);
+
+  const kernels::Isa before = kernels::active();
+  for (const kernels::Isa level : levels) {
+    kernels::force(level);
+    const kernels::KernelTable& kt = kernels::table(level);
+    for (const std::size_t n : sizes) {
+      Rng rng(static_cast<unsigned>(n) + 17);
+      const Matrix a = random_spd(n, rng);
+      const Matrix want_lower = reference_cholesky(a, kt);
+      const Matrix want_inv = reference_spd_inverse(want_lower, kt);
+      for (const std::size_t workers : {0, 1, 3}) {
+        exec::ThreadPool pool(workers);
+        exec::Context ctx(&pool);
+        std::string where = kernels::to_string(level);
+        where += " n=";
+        where += std::to_string(n);
+        where += " workers=";
+        where += std::to_string(workers);
+        const auto chol = cholesky(a);
+        ASSERT_TRUE(chol.has_value()) << where;
+        EXPECT_TRUE(bitwise_equal(chol->lower, want_lower)) << where;
+        EXPECT_TRUE(bitwise_equal(spd_inverse(a), want_inv)) << where;
+      }
+    }
+  }
+  kernels::force(before);
 }
 
 TEST(DampedInverse, MatchesManualDamping) {
