@@ -18,6 +18,7 @@
 // live in its fields: int8 factor comm must cut factor bytes >= 3x
 // (factor_bytes_ratio) and the compressed schedule must beat lossless by
 // >= 1.3x end-to-end on the bandwidth-bound config (speedup).
+#include <chrono>
 #include <random>
 
 #include "bench_util.hpp"

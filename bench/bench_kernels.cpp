@@ -7,9 +7,9 @@
 //
 // Kernel timings are single-threaded (the ambient exec context is serial
 // here), so they measure the raw microkernel — the executor's chunked
-// parallelism multiplies on top and is benched elsewhere (bench_overlap,
-// bench_runtime).  Two rows time the exact shapes the runtime runs on
-// mlp-spd-shm's 256-wide layers: one row update of the SPD inverse's
+// parallelism multiplies on top and is measured on the real runtime by
+// perfbench (core.scaling_efficiency).  Two rows time the exact shapes the
+// runtime runs on mlp-spd-shm's 256-wide layers: one row update of the SPD inverse's
 // triangular sweeps, and the preconditioned-update matmul on a 2-worker
 // pool (the runtime's default pool size).
 #include <chrono>
@@ -17,8 +17,12 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "comm/cluster.hpp"
+#include "core/dist_kfac.hpp"
 #include "exec/context.hpp"
 #include "exec/thread_pool.hpp"
+#include "nn/data.hpp"
+#include "nn/layers.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/random.hpp"

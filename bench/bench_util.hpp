@@ -1,27 +1,17 @@
-// Shared helpers for the per-figure benchmark harnesses and the examples:
-// console tables, machine-readable BENCH_*.json emission (so the perf
-// trajectory is tracked across PRs), the paper-testbed calibrations, and
-// the small-CNN distributed-training harness (bench_runtime /
-// bench_overlap / examples use the same cluster/model setup).
+// Shared helpers for the per-figure benchmark harnesses: console tables,
+// machine-readable BENCH_*.json emission (so the perf trajectory is tracked
+// across PRs) and the paper-testbed calibration.  Real-training throughput
+// is measured by perfbench/, not here.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "comm/cluster.hpp"
-#include "comm/codec.hpp"
-#include "core/dist_kfac.hpp"
-#include "nn/data.hpp"
-#include "nn/layers.hpp"
 #include "perf/models.hpp"
-#include "sched/plan.hpp"
-#include "tensor/matrix.hpp"
 #include "util/json.hpp"
 
 namespace spdkfac::bench {
@@ -34,214 +24,13 @@ inline const perf::ClusterCalibration& cal64() {
   return cal;
 }
 
-/// Real distributed training of a small CNN — the shared harness behind
-/// bench_runtime, bench_overlap and examples/distributed_training.  One
-/// training loop for every transport: the cluster runs on
-/// `optimizer.transport` (in-process threads, or one process per rank over
-/// shared memory / Unix sockets), and rank 0 reports its observables back
-/// as doubles through Cluster::launch_collect.
-struct DistTrainConfig {
-  int world = 4;
-  int steps = 5;
-  bool hooked = true;  ///< pass_hooks() in-pass submission (Fig. 6)
-  std::size_t in_channels = 1;
-  std::size_t image_hw = 12;
-  std::size_t conv1 = 8, conv2 = 16;
-  std::size_t classes = 5;
-  std::size_t batch = 8;
-  std::uint64_t init_seed = 99;   ///< shared across ranks => identical replicas
-  std::uint64_t data_seed = 3;
-  double noise = 0.0;
-  /// Every rank's optimizer: strategy, lr, damping, pool size, codecs, and
-  /// the transport (plus shm ring size) the cluster launches on.
-  core::DistKfacOptions optimizer;
-};
-
-/// Rank 0's observables.  Every transport reports every field: the engine
-/// statistics are reduced inside the rank and shipped as numbers.
-struct DistTrainResult {
-  std::vector<tensor::Matrix> rank0_weights;
-  double rank0_loss = 0.0;
-  double wall_seconds = 0.0;                ///< whole run, rank 0
-  std::vector<double> step_seconds;         ///< per-step wall, rank 0
-  std::vector<std::size_t> step_ops;        ///< collectives run per step
-  double comm_busy_s = 0.0;                 ///< summed op durations
-  double mean_queue_delay_s = 0.0;          ///< mean op start - submit
-  std::size_t broadcast_cts = 0;            ///< CTs of the final placement
-  /// Fraction of rank 0's communication busy time that executed while the
-  /// forward/backward passes were still running — comm the pipelining hid
-  /// behind computation (engine-clock interval accounting).
-  double overlap_fraction = 0.0;
-  /// Rank 0's per-step bytes the zero-copy arena stopped copying/zeroing
-  /// (DistKfacOptimizer::arena_bytes_saved_per_step).
-  std::size_t arena_bytes_saved = 0;
-  /// Post-codec / pre-codec collective payload bytes of one step's plan
-  /// (IterationPlan::wire_bytes / raw_bytes) — equal unless a codec is on.
-  std::size_t wire_bytes_per_step = 0;
-  std::size_t raw_bytes_per_step = 0;
-
-  /// Collectives over the whole run.
-  std::size_t comm_ops() const {
-    return std::accumulate(step_ops.begin(), step_ops.end(), std::size_t{0});
-  }
-};
-
-inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
-  comm::LaunchOptions launch_opts;
-  launch_opts.shm_ring_bytes = cfg.optimizer.shm_ring_bytes;
-  const auto per_rank = comm::Cluster::launch_collect(
-      cfg.optimizer.transport, comm::Topology::flat(cfg.world),
-      [&](comm::Communicator& comm) {
-        tensor::Rng init(cfg.init_seed);
-        nn::Sequential model =
-            nn::make_small_cnn(cfg.in_channels, cfg.image_hw, cfg.conv1,
-                               cfg.conv2, cfg.classes, init);
-        auto layers = model.preconditioned_layers();
-        core::DistKfacOptimizer optimizer(layers, comm, cfg.optimizer);
-        nn::SyntheticClassification data(cfg.classes, cfg.in_channels,
-                                         cfg.image_hw, cfg.data_seed,
-                                         cfg.noise);
-        tensor::Rng shard(100 + comm.rank());
-        nn::SoftmaxCrossEntropy loss;
-
-        // Pass windows on the engine clock, so op records (same clock) can
-        // be assigned to their step and classified as hidden-behind-compute
-        // or exposed.
-        std::vector<std::pair<double, double>> pass_windows;
-        std::vector<double> step_seconds;
-        const auto t0 = std::chrono::steady_clock::now();
-        double last_loss = 0.0;
-        for (int s = 0; s < cfg.steps; ++s) {
-          const auto step_t0 = std::chrono::steady_clock::now();
-          nn::Batch batch = data.sample(cfg.batch, shard);
-          const double pass_begin = optimizer.engine_now_s();
-          if (cfg.hooked) {
-            const nn::PassHooks hooks = optimizer.pass_hooks();
-            last_loss = loss.forward(model.forward(batch.inputs, hooks),
-                                     batch.labels);
-            model.backward(loss.backward(), hooks);
-          } else {
-            last_loss =
-                loss.forward(model.forward(batch.inputs), batch.labels);
-            model.backward(loss.backward());
-          }
-          pass_windows.emplace_back(pass_begin, optimizer.engine_now_s());
-          optimizer.step();
-          step_seconds.push_back(std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() -
-                                     step_t0)
-                                     .count());
-        }
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        if (comm.rank() != 0) return std::vector<double>{};
-
-        const std::vector<comm::OpRecord> records = optimizer.comm_records();
-        std::vector<double> step_ops(pass_windows.size(), 0.0);
-        double busy = 0.0, hidden = 0.0, delay = 0.0;
-        for (const comm::OpRecord& r : records) {
-          // Every collective of step s is submitted after that step's
-          // passes began and before the next step's did.
-          const auto next_step = std::upper_bound(
-              pass_windows.begin(), pass_windows.end(), r.submit_s,
-              [](double t, const auto& window) { return t < window.first; });
-          if (next_step != pass_windows.begin()) {
-            step_ops[static_cast<std::size_t>(next_step -
-                                              pass_windows.begin() - 1)] += 1;
-          }
-          busy += r.end_s - r.start_s;
-          delay += r.start_s - r.submit_s;
-          for (const auto& [b, e] : pass_windows) {
-            hidden +=
-                std::max(0.0, std::min(r.end_s, e) - std::max(r.start_s, b));
-          }
-        }
-        std::vector<double> out{
-            last_loss,
-            wall,
-            busy,
-            records.empty() ? 0.0
-                            : delay / static_cast<double>(records.size()),
-            busy > 0.0 ? hidden / busy : 0.0,
-            static_cast<double>(optimizer.placement().num_cts()),
-            static_cast<double>(optimizer.arena_bytes_saved_per_step()),
-            static_cast<double>(optimizer.plan().wire_bytes()),
-            static_cast<double>(optimizer.plan().raw_bytes())};
-        const auto put_all = [&out](const std::vector<double>& v) {
-          out.push_back(static_cast<double>(v.size()));
-          out.insert(out.end(), v.begin(), v.end());
-        };
-        put_all(step_seconds);
-        put_all(step_ops);
-        out.push_back(static_cast<double>(layers.size()));
-        for (auto* l : layers) {
-          const tensor::Matrix& w = l->weight();
-          out.push_back(static_cast<double>(w.rows()));
-          out.push_back(static_cast<double>(w.cols()));
-          out.insert(out.end(), w.data().begin(), w.data().end());
-        }
-        return out;
-      },
-      launch_opts);
-
-  // Decode rank 0's report (integers and weights round-trip exactly).
-  const std::vector<double>& enc = per_rank.at(0);
-  std::size_t pos = 0;
-  const auto next = [&] { return enc.at(pos++); };
-  const auto count = [&] { return static_cast<std::size_t>(next()); };
-  DistTrainResult result;
-  result.rank0_loss = next();
-  result.wall_seconds = next();
-  result.comm_busy_s = next();
-  result.mean_queue_delay_s = next();
-  result.overlap_fraction = next();
-  result.broadcast_cts = count();
-  result.arena_bytes_saved = count();
-  result.wire_bytes_per_step = count();
-  result.raw_bytes_per_step = count();
-  for (std::size_t s = count(); s > 0; --s) {
-    result.step_seconds.push_back(next());
-  }
-  for (std::size_t s = count(); s > 0; --s) {
-    result.step_ops.push_back(count());
-  }
-  for (std::size_t l = count(); l > 0; --l) {
-    const std::size_t rows = count();
-    const std::size_t cols = count();
-    tensor::Matrix w(rows, cols);
-    for (double& v : w.data()) v = next();
-    result.rank0_weights.push_back(std::move(w));
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Per-config summary statistics + BENCH_*.json emission
+// Per-config timing summary + BENCH_*.json emission
 // ---------------------------------------------------------------------------
 
 struct SampleStats {
   double mean = 0.0, p50 = 0.0, p90 = 0.0;
 };
-
-inline SampleStats stats(std::vector<double> samples) {
-  SampleStats s;
-  if (samples.empty()) return s;
-  double sum = 0.0;
-  for (double v : samples) sum += v;
-  s.mean = sum / static_cast<double>(samples.size());
-  std::sort(samples.begin(), samples.end());
-  const auto quantile = [&samples](double q) {
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-  };
-  s.p50 = quantile(0.5);
-  s.p90 = quantile(0.9);
-  return s;
-}
 
 /// Collects per-config scalar fields and writes BENCH_<name>.json in the
 /// working directory — the machine-readable perf record tracked across PRs:
@@ -267,21 +56,6 @@ class BenchJson {
         {"overlap_fraction", overlap_fraction}};
     fields.insert(fields.end(), extra.begin(), extra.end());
     add(config, std::move(fields));
-  }
-
-  /// Timing block with the per-iteration bytes-on-wire alongside the times,
-  /// so compression wins show up in the cross-PR BENCH_*.json trajectory
-  /// (wire == raw whenever the config runs lossless).
-  void add_timing(const std::string& config, const SampleStats& s,
-                  double overlap_fraction, std::size_t wire_bytes_per_iter,
-                  std::size_t raw_bytes_per_iter,
-                  std::vector<std::pair<std::string, double>> extra = {}) {
-    extra.insert(extra.begin(),
-                 {{"wire_bytes_per_iter",
-                   static_cast<double>(wire_bytes_per_iter)},
-                  {"raw_bytes_per_iter",
-                   static_cast<double>(raw_bytes_per_iter)}});
-    add_timing(config, s, overlap_fraction, std::move(extra));
   }
 
   /// The document BENCH_<name>.json will hold — strict JSON regardless of

@@ -81,7 +81,14 @@ void DataflowExecutor::release_locked(int id, std::vector<int>& inline_runs) {
       if (pool_ != nullptr) {
         ++inflight_;
         pool_->submit([this, id] {
-          nodes_[static_cast<std::size_t>(id)].work();
+          try {
+            nodes_[static_cast<std::size_t>(id)].work();
+          } catch (...) {
+            // A throwing node (e.g. a non-SPD factor's Cholesky) poisons
+            // the graph; wait() rethrows it instead of the worker thread
+            // ending the process.
+            abort(std::current_exception());
+          }
           std::vector<int> runs;
           {
             std::lock_guard lock(mutex_);
@@ -137,12 +144,18 @@ void DataflowExecutor::advance_lane_locked() {
 
 void DataflowExecutor::run_inline(std::vector<int>& inline_runs) {
   // Inline (pool-less) compute: execute outside the lock; each retirement
-  // may append more ready nodes, processed iteratively.
+  // may append more ready nodes, processed iteratively.  A throwing node
+  // poisons the graph as on a pool worker, and the rest are abandoned.
   for (std::size_t i = 0; i < inline_runs.size(); ++i) {
     const int id = inline_runs[i];
-    nodes_[static_cast<std::size_t>(id)].work();
+    try {
+      nodes_[static_cast<std::size_t>(id)].work();
+    } catch (...) {
+      abort(std::current_exception());
+    }
     std::lock_guard lock(mutex_);
     retire_locked(id, inline_runs);
+    if (poisoned_) break;
   }
   inline_runs.clear();
 }

@@ -45,9 +45,10 @@ class DataflowExecutor {
 
   struct Node {
     NodeKind kind = NodeKind::kNoop;
-    /// Action; must not throw.  Submission actions must be non-blocking and
-    /// must not call back into the executor (they run under its lock to
-    /// keep the lane ordered).
+    /// Action.  A compute action that throws abort()s the graph with its
+    /// exception, which wait() rethrows.  Submission actions must not
+    /// throw, must be non-blocking and must not call back into the
+    /// executor (they run under its lock to keep the lane ordered).
     std::function<void()> work;
     std::vector<int> deps;  ///< node indices that must retire first
     /// Gates released by satisfy() — pass events the graph cannot see

@@ -29,7 +29,9 @@ bench::BenchJson hostile_document() {
   s.mean = std::numeric_limits<double>::quiet_NaN();
   s.p50 = 0.5;
   s.p90 = 0.9;
-  doc.add_timing("timing", s, 0.75, 4096, 8192);
+  doc.add_timing("timing", s, 0.75,
+                 {{"wire_bytes_per_iter", 4096.0},
+                  {"raw_bytes_per_iter", 8192.0}});
   return doc;
 }
 

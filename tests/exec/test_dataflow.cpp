@@ -1,6 +1,6 @@
 // DataflowExecutor coverage: dependency release, external gates, the
 // ordered submission lane under adversarial completion order, inline
-// (pool-less) execution, graph reuse and validation.
+// (pool-less) execution, graph reuse and validation, and a throwing node.
 #include "exec/dataflow.hpp"
 
 #include <gtest/gtest.h>
@@ -192,6 +192,46 @@ TEST(Dataflow, WideFanOutRetiresEverything) {
   ex.wait();
   EXPECT_EQ(children.load(), 64);
   EXPECT_EQ(trace.get(), (std::vector<std::string>{"root", "join"}));
+}
+
+TEST(Dataflow, ThrowingComputeNodeSurfacesFromWait) {
+  // A compute node that throws (a non-SPD factor's Cholesky, say) poisons
+  // the graph: wait() rethrows the exception — on a pool worker it must
+  // not end the process — its successors never run, and the executor
+  // takes the next graph.
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    ThreadPool* p = workers == 0 ? nullptr : &pool;
+    Trace trace;
+    std::vector<Node> nodes;
+    nodes.push_back(compute(trace, "a", {}));
+    Node boom;
+    boom.kind = NodeKind::kCompute;
+    boom.deps = {0};
+    boom.work = [] { throw std::runtime_error("factor is not SPD"); };
+    nodes.push_back(std::move(boom));
+    nodes.push_back(compute(trace, "after", {1}));
+    DataflowExecutor ex;
+    ex.begin(std::move(nodes), {}, p);
+    try {
+      ex.wait();
+      ADD_FAILURE() << "wait() did not rethrow the node's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "factor is not SPD");
+    }
+    EXPECT_TRUE(ex.idle());
+    EXPECT_EQ(trace.get(), (std::vector<std::string>{"a"}));
+
+    std::vector<Node> clean;
+    clean.push_back(compute(trace, "clean", {}));
+    clean.push_back(compute(trace, "clean2", {0}));
+    ex.begin(std::move(clean), {}, p);
+    EXPECT_NO_THROW(ex.wait());
+    EXPECT_EQ(trace.get(),
+              (std::vector<std::string>{"a", "clean", "clean2"}));
+  }
 }
 
 }  // namespace
